@@ -16,7 +16,7 @@ help:
 	@echo "lint          determinism + contract sanitizers + ruff + mypy (latter two skip if absent)"
 	@echo "lint-report   lint (incl. contracts) with JSON output to lint-report.json (CI artifact)"
 	@echo "lint-baseline re-snapshot lint-baseline.json (grandfathering workflow)"
-	@echo "contracts     contract sanitizer only: mirror/kernel/digest drift (CON001..CON003)"
+	@echo "contracts     contract sanitizer only: mirror/anchor/stream/digest drift (CON001..CON003)"
 	@echo "bench         all benchmarks (figures + ablations + microbench)"
 	@echo "bench-smoke   engine microbenchmarks, low rounds, JSON for CI trends"
 	@echo "bench-profile harness suite under cProfile (pstats under benchmarks/results/)"

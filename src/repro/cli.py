@@ -143,13 +143,6 @@ def _add_common_run_options(parser: argparse.ArgumentParser) -> None:
         "(mesoscale, see docs/MESOSCALE.md)",
     )
     parser.add_argument(
-        "--engine-backend",
-        choices=("auto", "python", "numba", "cython"),
-        default="auto",
-        help="event-core kernels: 'auto' picks the fastest installed "
-        "backend; explicit names fail if unavailable (see docs/SIMULATOR.md)",
-    )
-    parser.add_argument(
         "--vector-batch",
         type=int,
         default=0,
@@ -193,8 +186,6 @@ def _config_from_args(args: argparse.Namespace, scheme: str) -> ExperimentConfig
         overrides["max_retries"] = args.max_retries
     if getattr(args, "fidelity", "packet") != "packet":
         overrides["fidelity"] = args.fidelity
-    if getattr(args, "engine_backend", "auto") != "auto":
-        overrides["engine_backend"] = args.engine_backend
     if getattr(args, "vector_batch", 0):
         overrides["vector_batch"] = args.vector_batch
     if getattr(args, "shards", 1) > 1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.kvstore.hashing import ConsistentHashRing
@@ -29,9 +29,6 @@ from repro.selection.base import ReplicaSelector
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import DrawSource
-
-#: Shared generator of globally unique request IDs.
-_request_ids = itertools.count(1)
 
 #: Cap on the exponential retry backoff, as a multiple of the base timeout:
 #: the k-th retransmission waits ``min(2**k, _BACKOFF_CAP) * request_timeout``
@@ -164,6 +161,7 @@ class KVClient:
         "repair_writes_sent",
         "quorum_degraded_reads",
         "digest_probes_sent",
+        "_ids",
     )
 
     def __init__(
@@ -183,6 +181,7 @@ class KVClient:
         read_quorum: int = 1,
         request_timeout: Optional[float] = None,
         max_retries: int = 0,
+        request_ids: Optional[Iterator[int]] = None,
     ) -> None:
         if redundancy is not None and netrs:
             raise ConfigurationError(
@@ -246,6 +245,10 @@ class KVClient:
         self.repair_writes_sent = 0
         self.quorum_degraded_reads = 0
         self.digest_probes_sent = 0
+        # One request-ID counter per scenario, shared by all its clients:
+        # IDs stay unique (LWW tie-break) and, since they key ECMP, a run's
+        # paths never depend on what ran earlier in the process.
+        self._ids = request_ids if request_ids is not None else itertools.count(1)
         host.bind(self)
 
     # ------------------------------------------------------------------
@@ -254,7 +257,7 @@ class KVClient:
     def issue(self, key: int, record: bool = True) -> int:
         """Issue one read request for ``key``; returns the request ID."""
         rgid, replicas = self.ring.group_for_key(key)
-        request_id = next(_request_ids)
+        request_id = next(self._ids)
         now = self.env.now
         if self.netrs:
             # The client only supplies the backup replica; the in-network
@@ -323,7 +326,7 @@ class KVClient:
         ``write_recorder`` when one is configured.
 
         Each write carries an LWW version ``(issued_at, request_id)`` --
-        the globally monotone request ID breaks issue-time ties, making
+        the scenario-wide monotone request ID breaks issue-time ties, making
         last-write-wins a total order (see docs/CONSISTENCY.md).  With a
         ``request_timeout`` configured, a write that cannot gather its
         quorum (e.g. a replica crashed) fails after one timeout instead of
@@ -337,7 +340,7 @@ class KVClient:
                 f"write quorum {quorum} exceeds replication factor "
                 f"{len(replicas)}"
             )
-        request_id = next(_request_ids)
+        request_id = next(self._ids)
         now = self.env.now
         entry = _Outstanding(
             key=key,
@@ -631,7 +634,7 @@ class KVClient:
         advance the completion tracker -- they are background traffic, not
         workload.
         """
-        request_id = next(_request_ids)
+        request_id = next(self._ids)
         now = self.env.now
         repair = _Outstanding(
             key=entry.key,

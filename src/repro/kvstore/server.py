@@ -225,7 +225,7 @@ class KVServer:
         Called at completion time from ``_complete`` (the packet tier's only
         write-path hook in a mirrored method; the flow tier drops it by
         contract until writes are mirrored).  Ordering ties break on the
-        globally monotone ``version_id``, so last-write-wins is a total
+        scenario-wide monotone ``version_id``, so last-write-wins is a total
         order and replicas converge regardless of apply order.
         """
         if packet.is_write:

@@ -2,10 +2,10 @@
 
 The repo's bit-identity guarantees rest on *mirrored* code: the mesoscale
 flow tier replays the packet tier's client/server/selector logic line for
-line, and the compiled numba/cython kernels replay their pure-Python
-reference loops operation for operation.  Runtime byte-identity suites only
-catch drift on the scenarios they run; this module checks the declared
-contracts statically, on every lint run, over every code path.
+line, and C3's selection loop inlines its scoring formula.  Runtime
+byte-identity suites only catch drift on the scenarios they run; this
+module checks the declared contracts statically, on every lint run, over
+every code path.
 
 Three rule families:
 
@@ -237,7 +237,7 @@ CONTRACT_RULES: Dict[str, Rule] = {
         rule_id="CON001",
         title="mirror pairs must stay AST-equivalent up to declared rewrites",
         rationale=(
-            "The flow tier and the compiled kernels are hand-maintained "
+            "The flow tier's endpoints are hand-maintained "
             "copies of reference code; one un-replayed edit breaks "
             "bit-identity on exactly the configs the golden suites do not "
             "cover.  Each declared MirrorPair is compared as normalized "
@@ -322,7 +322,7 @@ class _Normalizer(ast.NodeTransformer):
     def visit_AnnAssign(self, node: ast.AnnAssign) -> Optional[ast.AST]:
         self.generic_visit(node)
         if node.value is None:
-            return None  # bare declaration (cython loop-var typing)
+            return None  # bare declaration (``x: int``)
         return ast.copy_location(
             ast.Assign(targets=[node.target], value=node.value), node
         )

@@ -15,11 +15,10 @@ import math
 import os
 import time
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentResult
 from repro.mesoscale.flow import FlowEngine
-from repro.sim.backend import resolve as resolve_backend
 
 
 def run_flow_experiment(
@@ -51,14 +50,15 @@ def run_flow_experiment(
         return run_sharded_flow_experiment(
             config, service_time_scale=service_time_scale
         )
-    # Resolving enforces the explicit-backend availability contract
-    # (engine_backend="numba" without numba must fail loudly here too, not
-    # silently differ from the packet tier).
-    resolve_backend(config.engine_backend)
     vector_batch = config.vector_batch
     if vector_batch == 0:
         forced = os.environ.get("REPRO_VECTOR_FORCE", "")
         if forced:
+            if not forced.isdecimal():
+                raise ConfigurationError(
+                    "REPRO_VECTOR_FORCE must be a non-negative integer "
+                    f"block length, got {forced!r}"
+                )
             vector_batch = int(forced)
     if vector_batch > 0:
         # Imported lazily so scalar runs never pay the numpy-kernels import.

@@ -298,7 +298,13 @@ def run_sharded_flow_experiment(
     subs = shard_configs(config)
     jobs = [Job.from_config(sub, index) for index, sub in enumerate(subs)]
     if workers is None:
-        workers = int(os.environ.get("REPRO_SHARD_WORKERS", "1") or "1")
+        raw = os.environ.get("REPRO_SHARD_WORKERS", "1") or "1"
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"REPRO_SHARD_WORKERS must be an integer worker count, got {raw!r}"
+            ) from None
     policy = ExecutionPolicy(
         workers=max(1, workers), run_dir=run_dir, resume=resume
     )

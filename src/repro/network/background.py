@@ -23,7 +23,6 @@ from repro.network.packet import MAGIC_PLAIN, Packet
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 
-_background_ids = itertools.count(1_000_000_000)
 
 
 class BackgroundAgent:
@@ -70,6 +69,9 @@ class BackgroundTraffic:
         self.latency = LatencyRecorder()
         self.sent = 0
         self._stopped = False
+        # Per instance (not module-global) so a run's packet IDs, which feed
+        # the ECMP flow key, never depend on what ran earlier in the process.
+        self._ids = itertools.count(1_000_000_000)
         for host in self.hosts:
             host.bind(BackgroundAgent(self.latency, env))
 
@@ -95,7 +97,7 @@ class BackgroundTraffic:
             src=src.name,
             dst=dst.name,
             magic=MAGIC_PLAIN,
-            request_id=next(_background_ids),
+            request_id=next(self._ids),
             value_size=self.packet_size,
             client=dst.name,  # deliver-to, for is_request bookkeeping only
             issued_at=self.env.now,

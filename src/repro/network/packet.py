@@ -124,7 +124,7 @@ class Packet:
     is_repair: bool = False  # asynchronous read-repair write
     is_migration: bool = False  # key-range transfer between servers (churn)
     version_ts: float = 0.0  # LWW logical timestamp (client issue clock)
-    version_id: int = 0  # LWW tie-break (globally monotone request id)
+    version_id: int = 0  # LWW tie-break (scenario-wide monotone request id)
     migration_entries: tuple = ()  # ((key, version_ts, version_id), ...)
     # --- latency-decomposition stamps (simulation metadata, not wire data) --
     selected_at: float = 0.0  # when an RSNode finished selecting (0 = client)

@@ -16,8 +16,8 @@ PRs can track regressions without the pytest-benchmark machinery:
   service-time/jitter hot path (draws/s),
 * ``metrics_aggregation`` -- LatencyRecorder summaries plus cross-trial
   aggregation, the end-of-run path (samples/s),
-* ``backend_dispatch``  -- C3 selections through the resolved event-core
-  backend (selections/s); the per-backend kernel canary,
+* ``backend_dispatch``  -- C3 selections with EWMA feedback
+  (selections/s); the replica-selection hot loop,
 * ``fig4_slice``        -- wall time of one small Figure-4 cell end to end,
 * ``mesoscale_slice``   -- the same cell on the flow tier's SoA fast path
   (requests/s), the mesoscale speedup canary (see docs/MESOSCALE.md),
@@ -65,10 +65,10 @@ from repro.sim.core import Environment
 from repro.sim.rng import batched_from_seed, stream_from_seed
 
 #: Bump when the report layout changes shape (not when numbers move).
-#: v2: ``engine_backend`` + compiler versions stamped into the payload and
-#: the ``backend_dispatch`` benchmark (cross-backend rates are not
-#: comparable; ``--compare`` refuses mismatched baselines).
-SCHEMA_VERSION = 2
+#: v2: the ``backend_dispatch`` benchmark and the ``flow_tier`` knobs.
+#: v3: the compiled-backend stamps (``engine_backend``/``numba``/
+#: ``cython``) are gone with the backends themselves.
+SCHEMA_VERSION = 3
 
 
 def _best_of(fn: Callable[[], int], repeats: int) -> Dict[str, float]:
@@ -201,25 +201,19 @@ def bench_metrics_aggregation(n: int = 200_000, trials: int = 20) -> int:
 
 
 def bench_backend_dispatch(n: int = 20_000, servers: int = 16) -> int:
-    """C3 selections through the resolved event-core backend.
+    """C3 selections with EWMA feedback over a 16-server pool.
 
-    Exercises exactly what :mod:`repro.sim.backend` swaps out: the scoring
-    pass (compiled kernel or reference loop), the mirror-array updates on
-    feedback, and -- on compiled backends -- the per-call gather/dispatch
-    overhead.  Comparing this rate across backends is the point; comparing
-    it across *different* backends in ``--compare`` is meaningless, which
-    is why reports stamp ``engine_backend``.
+    Drives the pure-Python scoring loop in :meth:`C3Selector.select` plus
+    ``note_sent``/``note_response`` bookkeeping -- the per-request work of
+    every RSNode.  The name predates the removal of the compiled backends;
+    it is kept because archived reports (``BENCH_8.json``) key on it.
     """
     from repro.network.packet import ServerStatus
     from repro.selection.c3 import C3Selector
-    from repro.sim.backend import resolve
 
-    backend = resolve("auto")
     selector = C3Selector(
         prior_service_rate=1000.0, rng=stream_from_seed(3, "bench.backend")
     )
-    if backend.compiled:
-        selector.use_kernel(backend.kernels)
     pool = [f"server{i}" for i in range(servers)]
     status = ServerStatus(queue_size=4, service_rate=900.0, timestamp=0.0)
     for i in range(n):
@@ -359,19 +353,11 @@ def run_benchmarks(
     only: Optional[List[str]] = None,
 ) -> Dict[str, object]:
     """Run the suite (or the ``only`` subset) and return the report payload."""
-    from repro.sim.backend import cython_version, numba_version, resolve
-
     report: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
         "git_commit": _git_commit(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        # Which event-core backend the benchmarks actually ran on: rates
-        # measured under different backends are not comparable, so
-        # --compare refuses mismatched baselines (see main()).
-        "engine_backend": resolve("auto").describe(),
-        "numba": numba_version(),
-        "cython": cython_version(),
         # Flow-tier knobs the mesoscale slices ran under (additive v2
         # metadata): a rate measured with different knobs is a different
         # benchmark, so archived reports record them.
@@ -539,23 +525,6 @@ def main(argv=None) -> int:
     if args.compare:
         with open(args.compare, "r", encoding="ascii") as fh:
             baseline = json.load(fh)
-        # Rates measured under different event-core backends are not
-        # comparable (a compiled kernel vs the reference loop is exactly
-        # the difference the gate must not absorb).  Schema-v1 baselines
-        # predate the field and were always pure python.
-        base_backend = baseline.get("engine_backend", "python")
-        cur_backend = report["engine_backend"]
-        if base_backend != cur_backend:
-            message = (
-                f"bench comparison: baseline backend '{base_backend}' != "
-                f"current backend '{cur_backend}'; rates are not comparable"
-            )
-            if not args.compare_warn:
-                sys.stderr.write(
-                    f"FAIL: {message} (use --compare-warn to downgrade)\n"
-                )
-                return 1
-            sys.stderr.write(f"WARNING: {message}\n")
         comparison = compare_reports(
             baseline, report, tolerance=args.tolerance, thresholds=THRESHOLDS
         )

@@ -1,129 +1,38 @@
-"""Declared kernel mirror contracts (checked by ``netrs contracts``).
+"""Declared C3 scoring contract (checked by ``netrs contracts``).
 
-The compiled numba/cython kernels mirror their pure-Python reference loops
-operation for operation -- float arithmetic is evaluation-order sensitive,
-so "equivalent math" is not enough (see :mod:`repro.sim.backend`).  The
-pairing itself lives in :data:`repro.sim.backend.KERNEL_MIRRORS`, next to
-the registry that dispatches to the kernels; this module turns it into
-CON001 contracts:
-
-* ``chained_arrival`` and ``count_undone_hops`` are compared body-for-body
-  between the numba and cython implementations (annotations and typed
-  loop-variable declarations are normalization noise; ``len(x)`` vs
-  ``x.shape[0]`` is a declared rewrite).
-* ``c3_select`` cannot be compared body-for-body -- numba inlines the
-  scoring while cython extracts a ``_score`` cfunc -- so the surrounding
-  min-scan is paired with the scoring statements declared equivalent, and
-  the cubic formula itself is pinned by an :class:`ExprAnchor` that must
-  appear, normalized, in all four sites: ``C3Selector.score``, the scalar
-  loop in ``C3Selector.select``, the numba kernel and the cython cfunc.
+:meth:`repro.selection.c3.C3Selector.select` inlines the cubic score from
+:meth:`~repro.selection.c3.C3Selector.score` to save a method call per
+candidate.  Their surrounding control flow differs too much for a CON001
+body pair, so the formula itself is pinned by an :class:`ExprAnchor` that
+must appear, normalized, at both sites -- float arithmetic is
+evaluation-order sensitive, so a reordered term is drift even when the
+math is equal.
 """
 
 from __future__ import annotations
 
-from repro.lint.contracts import (
-    AnchorSite,
-    ContractRegistry,
-    ExprAnchor,
-    MirrorPair,
-    Site,
-)
-from repro.sim.backend import KERNEL_MIRRORS
+from repro.lint.contracts import AnchorSite, ContractRegistry, ExprAnchor, Site
 
+_C3 = "src/repro/selection/c3.py"
 
-def _site(kernel: str, impl: str) -> Site:
-    path, qualname = KERNEL_MIRRORS[kernel][impl].split(":")
-    return Site(path, qualname)
-
-
-MIRROR_PAIRS = (
-    MirrorPair(
-        name="kernel.chained_arrival",
-        reference=_site("chained_arrival", "numba"),
-        mirror=_site("chained_arrival", "cython"),
-        # cython's typed loop variable vs numba's throwaway underscore.
-        mirror_renames=(("i", "_"),),
-    ),
-    MirrorPair(
-        name="kernel.count_undone_hops",
-        reference=_site("count_undone_hops", "numba"),
-        mirror=_site("count_undone_hops", "cython"),
-        mirror_renames=(
-            ("len(bases)", "bases.shape[0]"),
-            ("int(hops[j])", "hops[j]"),
-        ),
-    ),
-    MirrorPair(
-        name="kernel.path_chain",
-        reference=_site("path_chain", "numba"),
-        mirror=_site("path_chain", "cython"),
-        mirror_renames=(
-            ("len(times)", "times.shape[0]"),
-            ("len(hops)", "hops.shape[0]"),
-        ),
-    ),
-    MirrorPair(
-        name="kernel.hop_class_batch",
-        reference=_site("hop_class_batch", "numba"),
-        mirror=_site("hop_class_batch", "cython"),
-        mirror_renames=(("len(client_rack)", "client_rack.shape[0]"),),
-    ),
-    MirrorPair(
-        name="kernel.c3_select",
-        reference=_site("c3_select", "numba"),
-        mirror=_site("c3_select", "cython"),
-        mirror_renames=(("len(service_rate)", "service_rate.shape[0]"),),
-        # Both initialize best_score to +inf, spelled np.inf vs
-        # float('inf') and ordered differently relative to ``ties = 0``
-        # (independent assignments).
-        drop_reference=(
-            "best_score = np.inf",
-            "rate = service_rate[i]",
-            "if not rate > 0.0: ...",
-            "expected_service = 1.0 / rate",
-            "q_hat = 1.0 + outstanding[i] * weight + queue_size[i]",
-        ),
-        drop_mirror=("best_score = float('inf')",),
-        equivalences=(
-            (
-                "score = response_time[i] - expected_service "
-                "+ q_hat ** exponent * expected_service",
-                "score = _score(service_rate[i], outstanding[i], queue_size[i], "
-                "response_time[i], prior, weight, exponent)",
-            ),
-        ),
-    ),
-)
-
-#: The C3 cubic scoring formula, pinned at every site that spells it out.
-#: The dropped statements above mean the kernel pair alone would not catch
-#: a drifted formula; this anchor does, in all four implementations.
 EXPR_ANCHORS = (
     ExprAnchor(
         name="c3-cubic-score",
         expr="resp - expected_service + q_hat ** exponent * expected_service",
         sites=(
             AnchorSite(
-                Site("src/repro/selection/c3.py", "C3Selector.score"),
+                Site(_C3, "C3Selector.score"),
                 renames=(
                     ("track.response_time", "resp"),
                     ("self.cubic_exponent", "exponent"),
                 ),
             ),
             AnchorSite(
-                Site("src/repro/selection/c3.py", "C3Selector.select"),
+                Site(_C3, "C3Selector.select"),
                 renames=(("track.response_time", "resp"),),
             ),
-            AnchorSite(
-                _site("c3_select", "numba"),
-                renames=(("response_time[i]", "resp"),),
-            ),
-            AnchorSite(_site("c3_select", "cython_score")),
         ),
     ),
 )
 
-CONTRACTS = ContractRegistry(
-    mirror_pairs=list(MIRROR_PAIRS),
-    expr_anchors=list(EXPR_ANCHORS),
-)
+CONTRACTS = ContractRegistry(expr_anchors=list(EXPR_ANCHORS))

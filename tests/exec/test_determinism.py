@@ -28,14 +28,22 @@ def base():
 
 
 def test_parallel_sweep_byte_identical_to_serial(base, sweep_kwargs, deterministic_sim):
-    serial = run_sweep(base, **sweep_kwargs)
-    parallel = run_sweep(
-        base, **sweep_kwargs, execution=ExecutionPolicy(workers=2)
+    # The link-down base makes ECMP choices (keyed on request IDs) matter:
+    # a cell's results must not depend on which cells its process ran first.
+    link_down = base.replace(
+        fault_schedule="link-down@0.005:core0/agg0.0",
+        request_timeout=0.02,
+        max_retries=5,
     )
-    assert parallel.to_json() == serial.to_json()
-    assert parallel.raw == serial.raw
-    assert parallel.extras == serial.extras
-    assert parallel.cells == serial.cells
+    for config in (base, link_down):
+        serial = run_sweep(config, **sweep_kwargs)
+        parallel = run_sweep(
+            config, **sweep_kwargs, execution=ExecutionPolicy(workers=2)
+        )
+        assert parallel.to_json() == serial.to_json()
+        assert parallel.raw == serial.raw
+        assert parallel.extras == serial.extras
+        assert parallel.cells == serial.cells
 
 
 def test_parallel_grid_identical_to_serial(base, deterministic_sim):

@@ -84,6 +84,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExperimentConfig(warmup_fraction=1.0).validate()
 
+    def test_engine_backend_default_and_validation(self):
+        base = ExperimentConfig.tiny()
+        assert base.engine_backend == "auto"
+        base.replace(engine_backend="python")  # validates
+        with pytest.raises(ConfigurationError, match="engine_backend"):
+            base.replace(engine_backend="fortran")
+
+    def test_compiled_backend_requests_fail_loudly(self):
+        base = ExperimentConfig.tiny()
+        for removed in ("numba", "cython"):
+            with pytest.raises(ConfigurationError, match="removed"):
+                base.replace(engine_backend=removed)
+
     def test_replace_validates(self):
         config = ExperimentConfig.tiny()
         with pytest.raises(ConfigurationError):

@@ -13,6 +13,7 @@ from repro.faults import FaultInjector, FaultSchedule
 #: The crash-and-recover scenario of docs/FAULTS.md: server#0 goes down at
 #: 20 ms and comes back at 60 ms, while clients retry on a 20 ms timeout.
 CRASH_SPEC = "server-down@0.02:server#0;server-up@0.06:server#0"
+LINK_DOWN_SPEC = "link-down@0.005:core0/agg0.0"
 
 
 def _crash_config(**overrides):
@@ -37,11 +38,16 @@ class TestCrashAndRecover:
         assert result.completed_requests == result.config.total_requests
         assert result.unavailability == pytest.approx(0.04)
 
-    def test_same_seed_runs_are_identical(self, backend):
-        """Fault counters are byte-identical across runs *and* across every
-        installed event-core backend (python is the oracle)."""
-        first = run_experiment(_crash_config(engine_backend="python"))
-        second = run_experiment(_crash_config(engine_backend=backend))
+    @pytest.mark.parametrize(
+        "spec", [CRASH_SPEC, LINK_DOWN_SPEC], ids=["crash", "link-down"]
+    )
+    def test_same_seed_runs_are_identical(self, spec):
+        """Same-seed runs in one process are byte-identical.  The link-down
+        input routes around a dead link, so it also catches any run-to-run
+        drift in the request IDs that key ECMP."""
+        first = run_experiment(_crash_config(fault_schedule=spec))
+        second = run_experiment(_crash_config(fault_schedule=spec))
+        assert first.latency.samples == second.latency.samples
         assert first.summary() == second.summary()
         assert first.timeouts == second.timeouts
         assert first.retries == second.retries

@@ -302,8 +302,9 @@ def test_default_registry_aggregates_all_declaration_modules():
         + len(registry.digests)
     )
     names = {pair.name for pair in registry.mirror_pairs}
-    assert "kernel.c3_select" in names  # repro.sim.contracts
     assert "server.complete" in names  # repro.mesoscale.contracts
+    anchors = {anchor.name for anchor in registry.expr_anchors}
+    assert "c3-cubic-score" in anchors  # repro.sim.contracts
 
 
 def test_contract_findings_respect_noqa(monkeypatch):

@@ -1,4 +1,4 @@
-"""Drift-injection probes for the vector tier's contract declarations.
+"""Drift-injection probes for the shipped contract declarations.
 
 The lint fixtures prove the checker catches drift in a synthetic mini-tree;
 these probes prove the *shipped declarations* would catch drift in the real
@@ -21,12 +21,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 _VECTOR = "src/repro/mesoscale/vector.py"
 _FLOW = "src/repro/mesoscale/flow.py"
-_NUMBA = "src/repro/sim/_kernels_numba.py"
-_CYTHON = "src/repro/sim/_kernels_cython.py"
+_C3 = "src/repro/selection/c3.py"
 
 
 def _mirror_pair(name):
-    for pair in SIM_CONTRACTS.mirror_pairs + MESO_CONTRACTS.mirror_pairs:
+    for pair in MESO_CONTRACTS.mirror_pairs:
         if pair.name == name:
             return pair
     raise AssertionError(f"declaration {name!r} is gone from the registries")
@@ -57,17 +56,6 @@ def _inject(tmp_path, rel, old, new):
     "name,files,rel,old,new,rule",
     [
         (
-            # Reordered float addition in the cython twin: same value in
-            # exact arithmetic, different ulp chain -- exactly the drift
-            # the kernel pairing exists to catch.
-            "kernel.path_chain",
-            (_NUMBA, _CYTHON),
-            _CYTHON,
-            "t += hops[j]",
-            "t = hops[j] + t",
-            "CON001",
-        ),
-        (
             # Counter drift in the vector server endpoint.
             "vector.server.arrival",
             (_FLOW, _VECTOR),
@@ -87,6 +75,24 @@ def test_injected_mirror_drift_is_caught(tmp_path, name, files, rel, old, new, r
     findings = check_contracts(str(tmp_path), registry=registry)
     assert [f.rule for f in findings] == [rule], findings
     assert findings[0].path == rel
+
+
+def test_injected_c3_score_drift_is_caught(tmp_path):
+    """Reordering a term of the inlined cubic score in ``select`` keeps the
+    value in exact arithmetic but not in floats; the anchor must flag it."""
+    (anchor,) = [a for a in SIM_CONTRACTS.expr_anchors if a.name == "c3-cubic-score"]
+    registry = ContractRegistry(expr_anchors=[anchor])
+    _scratch_tree(tmp_path, (_C3,))
+    assert check_contracts(str(tmp_path), registry=registry) == []
+    _inject(
+        tmp_path,
+        _C3,
+        "+ (q_hat**exponent) * expected_service",
+        "+ expected_service * (q_hat**exponent)",
+    )
+    findings = check_contracts(str(tmp_path), registry=registry)
+    assert [f.rule for f in findings] == ["CON001"], findings
+    assert findings[0].path == _C3
 
 
 def test_injected_draw_swap_is_caught(tmp_path):

@@ -7,6 +7,7 @@ must all land on the same engine.
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mesoscale.runner import run_flow_experiment
@@ -91,6 +92,23 @@ def test_vector_force_env_overrides_scalar_config(monkeypatch):
     _assert_identical(scalar, forced, "env-force")
 
 
+@pytest.mark.parametrize(
+    "variable,value,overrides",
+    [
+        ("REPRO_VECTOR_FORCE", "abc", {}),
+        ("REPRO_VECTOR_FORCE", "-3", {}),
+        ("REPRO_SHARD_WORKERS", "two", {"shards": 2}),
+    ],
+    ids=["force-not-int", "force-negative", "shard-workers-not-int"],
+)
+def test_env_knobs_reject_bad_values(monkeypatch, variable, value, overrides):
+    """A malformed knob fails where it is read, naming the variable, instead
+    of a bare ``int()`` error or a silent fall-back to the scalar engine."""
+    monkeypatch.setenv(variable, value)
+    with pytest.raises(ConfigurationError, match=variable):
+        run_flow_experiment(_flow("clirs", **overrides))
+
+
 @pytest.mark.parametrize("scenario", ["fig4-clirs-r95", "faults-clirs"])
 def test_vector_identity_on_committed_validation_scenarios(scenario):
     """The acceptance bar, spelled on the committed fidelity scenarios:
@@ -110,7 +128,5 @@ def test_vector_identity_on_committed_validation_scenarios(scenario):
 
 
 def test_vector_batch_requires_flow_fidelity():
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         ExperimentConfig.tiny(scheme="clirs").replace(vector_batch=64)

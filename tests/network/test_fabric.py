@@ -229,3 +229,60 @@ class TestLinkAccounting:
         top = network.top_links(5)
         assert len(top) == 5
         assert sum(network.link_bytes.values()) == network.bytes_transferred
+
+
+class _Absorbed:
+    """Stand-in for a switch a collapsed trunk passed through."""
+
+    def __init__(self):
+        self.packets_forwarded = 5
+
+
+class TestTrunkCollapse:
+    def test_settle_trunks_unwinds_hops_past_the_stop(self, net):
+        _, _, network = net
+        network.transmissions = 100
+        network.bytes_transferred = 10_000
+        network.netrs_overhead_bytes = 800
+        trunks = []
+        # Three 4-hop trunks (0.1 s per hop, 100 B, 8 B of NetRS overhead):
+        # fully delivered, one hop past the stop, all three forwarding
+        # events past the stop.
+        for base, when in ((0.0, 0.2), (0.0, 0.4), (0.2, 0.6)):
+            absorbed = (_Absorbed(), _Absorbed(), _Absorbed())
+            trunks.append(absorbed)
+            network._pending_trunks.append((base, 0.1, 4, 100, 8, absorbed, when))
+        network.settle_trunks(0.3)
+        # Forwarding events of the second trunk fall at 0.1, 0.2 and
+        # 0.1 + 0.1 + 0.1 > 0.3; the third trunk's at 0.3+, 0.4, 0.5.
+        # 1 + 3 hops undone.
+        assert network.transmissions == 96
+        assert network.bytes_transferred == 9_600
+        assert network.netrs_overhead_bytes == 768
+        forwarded = [[d.packets_forwarded for d in absorbed] for absorbed in trunks]
+        assert forwarded == [[5, 5, 5], [5, 5, 4], [4, 4, 4]]
+        assert not network._pending_trunks
+
+    @pytest.mark.parametrize("scheme", ["clirs", "netrs-ilp"])
+    def test_trunking_is_invisible_end_to_end(self, scheme):
+        """Collapsed trunks must account exactly like hop-by-hop forwarding,
+        down to each switch's forwarded-packet count.  ``events_executed``
+        legitimately differs: collapsing trunks is what saves the events."""
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import run_experiment
+        from repro.experiments.scenarios import build_scenario
+
+        config = ExperimentConfig.tiny(scheme=scheme, seed=7)
+        trunked_scenario = build_scenario(config)
+        plain_scenario = build_scenario(config)
+        plain_scenario.network.disable_trunking()
+        trunked = run_experiment(config, scenario=trunked_scenario)
+        plain = run_experiment(config, scenario=plain_scenario)
+        assert trunked.latency.samples == plain.latency.samples
+        for name in ("transmissions", "bytes_transferred", "netrs_overhead_bytes"):
+            assert getattr(trunked, name) == getattr(plain, name), name
+        for name, switch in trunked_scenario.switches.items():
+            assert (
+                switch.packets_forwarded
+                == plain_scenario.switches[name].packets_forwarded
+            ), name

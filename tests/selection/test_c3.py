@@ -90,6 +90,33 @@ class TestScoring:
         selector.note_response("fast", 0.001, _status(queue=0), 0.0)
         assert selector.select(["slow", "fast"], 0.0) == "fast"
 
+    def test_selection_matches_reference_under_feedback(self):
+        """select() inlines score(); under a seeded feedback sequence it must
+        return score()'s unique argmin at every step that has one."""
+        selector = _selector(concurrency_weight=3)
+        pool = [f"s{i}" for i in range(8)]
+        feed = np.random.default_rng(3)
+        unique_steps = 0
+        for step in range(300):
+            now = step * 1e-3
+            scores = [selector.score(server) for server in pool]
+            choice = selector.select(pool, now)
+            best = min(scores)
+            if scores.count(best) == 1:
+                unique_steps += 1
+                assert choice == pool[scores.index(best)], step
+            selector.note_sent(choice, now)
+            if step % 3 == 0:
+                status = _status(
+                    queue=int(feed.integers(0, 6)),
+                    rate=float(feed.uniform(500.0, 1500.0)),
+                    t=now,
+                )
+                selector.note_response(
+                    choice, float(feed.uniform(1e-4, 5e-3)), status, now
+                )
+        assert unique_steps > 250
+
     def test_ties_broken_randomly(self):
         selector = _selector()
         picks = {selector.select(["a", "b", "c"], 0.0) for _ in range(100)}
