@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-profile bench-compare bench-figures lint lint-report lint-baseline contracts help
+.PHONY: install test test-fast test-slow ci faults-smoke mesoscale-smoke docs-check consistency-smoke bench bench-smoke bench-profile bench-compare bench-figures perfbench-check lint lint-report lint-baseline contracts help
 
 help:
 	@echo "install       editable install"
@@ -22,6 +22,7 @@ help:
 	@echo "bench-profile harness suite under cProfile (pstats under benchmarks/results/)"
 	@echo "bench-compare harness suite vs committed BENCH_8.json (regression gate)"
 	@echo "bench-figures just the paper figures (results under benchmarks/results/)"
+	@echo "perfbench-check each BENCHMARK.json workload once: outputs correct, nothing failed"
 
 install:
 	$(PYTHON) -m pip install -e .
@@ -120,3 +121,16 @@ bench-figures:
 		benchmarks/test_bench_fig5_skew.py \
 		benchmarks/test_bench_fig6_utilization.py \
 		benchmarks/test_bench_fig7_service_time.py --benchmark-only -s
+
+# The benchmark of record (BENCHMARK.json) as an output check: every
+# workload runs once at seed 1 and its last line (the JSON result) must say
+# "correct": true with "failed": 0.  Timings are printed, never gated.
+PERFBENCH_WORKLOADS = $(shell $(PYTHON) -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+
+perfbench-check:
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		out=$$($(PYTHON) perfbench/run.py --workload $$w --seed 1 --seconds 16 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | $(PYTHON) -c 'import json, sys; r = json.load(sys.stdin); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+			|| { echo "perfbench-check: $$w failed its output check"; exit 1; }; \
+	done

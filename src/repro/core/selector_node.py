@@ -9,6 +9,10 @@ rebuilt packet as ordinary traffic while the server's ``f^-1`` turns the
 reply into a NetRS response.  For a cloned NetRS response the selector folds
 the piggybacked server status (and the RV-derived response time) into the
 algorithm's state and drops the clone.
+
+The algorithm calls, :meth:`NetRSSelector.choose` and
+:meth:`NetRSSelector.absorb`, take no packet, so the flow tier's RSNodes
+run them directly (with the flow engine as ``env``).
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from repro.kvstore.hashing import ConsistentHashRing
 from repro.network.packet import (
     MAGIC_RESPONSE,
     Packet,
+    ServerStatus,
     magic_transform,
 )
 from repro.selection.base import ReplicaSelector
-from repro.sim.core import Environment
 
 
 class NetRSSelector:
@@ -29,7 +33,7 @@ class NetRSSelector:
 
     def __init__(
         self,
-        env: Environment,
+        env,
         *,
         algorithm: ReplicaSelector,
         ring: ConsistentHashRing,
@@ -40,22 +44,34 @@ class NetRSSelector:
         self.requests_handled = 0
         self.responses_handled = 0
 
+    def choose(self, rgid: int) -> str:
+        """Run the selection algorithm over a replica group; returns the server."""
+        now = self.env.now
+        candidates = self.ring.replicas(rgid)
+        server = self.algorithm.select(candidates, now)
+        self.algorithm.note_sent(server, now)
+        self.requests_handled += 1
+        return server
+
+    def absorb(self, server: str, retaining_value: float, status: ServerStatus) -> None:
+        """Fold one response's server status and response time into the algorithm."""
+        now = self.env.now
+        self.algorithm.note_response(server, now - retaining_value, status, now)
+        self.responses_handled += 1
+
     def on_request(self, packet: Packet) -> Packet:
         """Choose a replica and rebuild the request (accelerator work)."""
         if packet.rgid < 0:
             raise ProtocolError(
                 f"NetRS request {packet.request_id} carries no RGID"
             )
+        server = self.choose(packet.rgid)
         now = self.env.now
-        candidates = self.ring.replicas(packet.rgid)
-        server = self.algorithm.select(candidates, now)
-        self.algorithm.note_sent(server, now)
         packet.dst = server
         packet.server = server
         packet.retaining_value = now
         packet.selected_at = now
         packet.magic = magic_transform(MAGIC_RESPONSE)
-        self.requests_handled += 1
         return packet
 
     def on_response(self, packet: Packet) -> None:
@@ -64,8 +80,4 @@ class NetRSSelector:
             raise ProtocolError(
                 f"NetRS response {packet.request_id} carries no server status"
             )
-        response_time = self.env.now - packet.retaining_value
-        self.algorithm.note_response(
-            packet.server, response_time, packet.server_status, self.env.now
-        )
-        self.responses_handled += 1
+        self.absorb(packet.server, packet.retaining_value, packet.server_status)

@@ -303,6 +303,7 @@ def _build_servers(
                 range_parameter=config.fluctuation_range,
                 interval=config.fluctuation_interval,
                 rng=rng.batched(f"fluctuation.{name}", batch),
+                origin=env.now,
             )
         else:
             model = StableService(config.mean_service_time)

@@ -5,12 +5,19 @@ al.'s measurements the paper models it as a **bimodal distribution**: in each
 fluctuation interval (50 ms) the mean service time of a server is redrawn to
 be either ``t_kv`` or ``t_kv / d`` with equal probability (range parameter
 ``d = 3``).  Each server fluctuates independently.
+
+Redraws are lazy: no timer runs.  :meth:`BimodalFluctuation.mean_at` makes
+the draws of every interval boundary crossed since the last query, one per
+boundary, when a server begins service.  Boundaries accumulate with the
+float additions a periodic ``call_in`` chain would perform, so the mean
+seen at any time is the one a ticking timer would have set.  Both tiers use
+these classes, the packet tier on the engine clock and the flow tier on its
+micro-heap clock.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.sim.core import Environment
 from repro.sim.rng import DrawSource
 
 
@@ -24,11 +31,7 @@ class StableService:
             raise ConfigurationError("mean_service_time must be positive")
         self.mean_service_time = mean_service_time
 
-    def start(self, env: Environment) -> None:
-        """Nothing to schedule for a stable server."""
-
-    @property
-    def current_mean(self) -> float:
+    def mean_at(self, t: float) -> float:
         """The (constant) mean service time."""
         return self.mean_service_time
 
@@ -46,6 +49,7 @@ class BimodalFluctuation:
         "interval",
         "_draws",
         "_current",
+        "_next",
         "redraws",
     )
 
@@ -56,6 +60,7 @@ class BimodalFluctuation:
         range_parameter: float = 3.0,
         interval: float = 50e-3,
         rng: DrawSource,
+        origin: float = 0.0,
     ) -> None:
         if base_service_time <= 0:
             raise ConfigurationError("base_service_time must be positive")
@@ -68,6 +73,8 @@ class BimodalFluctuation:
         self.interval = interval
         self._draws = rng
         self._current = self._draw()
+        # First redraw boundary; ``origin`` is the clock's start time.
+        self._next = origin + interval
         self.redraws = 0
 
     def _draw(self) -> float:
@@ -75,18 +82,16 @@ class BimodalFluctuation:
             return self.base_service_time
         return self.base_service_time / self.range_parameter
 
-    def start(self, env: Environment) -> None:
-        """Begin the periodic redraw cycle."""
-        env.call_in(self.interval, self._tick, env)
+    def mean_at(self, t: float) -> float:
+        """Mean service time in the fluctuation interval containing ``t``.
 
-    def _tick(self, env: Environment) -> None:
-        self._current = self._draw()
-        self.redraws += 1
-        env.call_in(self.interval, self._tick, env)
-
-    @property
-    def current_mean(self) -> float:
-        """Mean service time in the current fluctuation interval."""
+        Draws once per boundary crossed since the previous call.  Query
+        times must be non-decreasing, as a server's service begin times are.
+        """
+        while t >= self._next:
+            self._current = self._draw()
+            self._next += self.interval
+            self.redraws += 1
         return self._current
 
     def expected_mean(self) -> float:

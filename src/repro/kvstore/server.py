@@ -6,30 +6,37 @@ is exponential with the *current* fluctuating mean.  Every response
 piggybacks a :class:`~repro.network.packet.ServerStatus` -- the queue size at
 departure and the server's EWMA service-rate estimate -- which is the
 feedback channel C3-style selectors rely on.
+
+The server is one core for both simulation tiers.  ``env`` is anything
+with ``now`` and ``post_in`` (the packet tier's
+:class:`~repro.sim.core.Environment` or the flow tier's micro-heap engine),
+a *job* is whatever the tier queues (a request :class:`Packet`, or the flow
+tier's ``(client, request_id, retaining_value)`` tuple), and every
+completed job goes to a ``reply(server, job, status)`` callable.  On the
+packet tier that is :meth:`KVServer._respond`: build the response, fold the
+LWW version and send it from the host.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Protocol, Tuple
+from typing import Any, Callable, Deque, Optional, Protocol, Tuple
 
 from repro.network.host import Host
 from repro.network.packet import MAGIC_PLAIN, Packet, ServerStatus, make_response
-from repro.sim.core import Environment
 from repro.sim.rng import DrawSource
 
 
 class ServiceModel(Protocol):
     """Provides the time-varying mean service time."""
 
-    @property
-    def current_mean(self) -> float:
-        """Mean service time right now."""
+    def mean_at(self, t: float) -> float:
+        """Mean service time at time ``t`` (non-decreasing across calls)."""
         ...  # pragma: no cover - protocol definition
 
-    def start(self, env: Environment) -> None:
-        """Begin any time-varying behaviour."""
-        ...  # pragma: no cover - protocol definition
+
+#: ``reply(server, job, status)``: deliver a completed job's response.
+Reply = Callable[["KVServer", Any, ServerStatus], None]
 
 
 class KVServer:
@@ -39,6 +46,7 @@ class KVServer:
         "env",
         "host",
         "name",
+        "_reply",
         "service_model",
         "parallelism",
         "value_size",
@@ -63,32 +71,38 @@ class KVServer:
 
     def __init__(
         self,
-        env: Environment,
-        host: Host,
+        env,
+        host: Optional[Host],
         *,
         service_model: ServiceModel,
         parallelism: int = 4,
         rng: DrawSource,
         value_size: int = 1024,
         rate_ewma_alpha: float = 0.9,
+        name: Optional[str] = None,
+        reply: Optional[Reply] = None,
     ) -> None:
+        """``host`` is the packet tier's NIC; hostless servers (the flow
+        tier) pass ``name`` and the ``reply`` that delivers responses."""
         if parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         if not 0 <= rate_ewma_alpha < 1:
             raise ValueError("rate_ewma_alpha must be in [0, 1)")
         self.env = env
         self.host = host
-        self.name = host.name
+        self.name = host.name if host is not None else name
+        self._reply: Reply = reply if reply is not None else KVServer._respond
         self.service_model = service_model
         self.parallelism = parallelism
         self.value_size = value_size
         self._draws = rng
         self._alpha = rate_ewma_alpha
-        self._waiting: Deque[Tuple[Packet, float]] = deque()
+        # Queued jobs with their arrival times.
+        self._waiting: Deque[Tuple[Any, float]] = deque()
         self._in_service = 0
         # EWMA of observed service durations seeds at the nominal mean so the
         # first piggybacked rates are sane.
-        self._ewma_service_time = service_model.current_mean
+        self._ewma_service_time = service_model.mean_at(env.now)
         # Accounting
         self.completions = 0
         self.arrivals = 0
@@ -109,8 +123,8 @@ class KVServer:
         self.repairs_applied = 0
         self.migration_keys_in = 0
         self.migration_bytes_in = 0
-        host.bind(self)
-        service_model.start(env)
+        if host is not None:
+            host.bind(self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -128,8 +142,8 @@ class KVServer:
     def status(self) -> ServerStatus:
         """Snapshot the piggybacked status segment."""
         return ServerStatus(
-            queue_size=self.queue_size,
-            service_rate=self.service_rate_estimate,
+            queue_size=len(self._waiting) + self._in_service,
+            service_rate=self.parallelism / self._ewma_service_time,
             timestamp=self.env.now,
         )
 
@@ -158,32 +172,41 @@ class KVServer:
         self.down = False
 
     # ------------------------------------------------------------------
-    # Packet handling
+    # Request handling
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
         """Endpoint callback: accept a request (read, write, or metadata)."""
+        if (packet.is_digest or packet.is_migration) and not self.down:
+            self._handle_metadata(packet)
+            return
+        self.handle_arrival(packet)
+
+    def handle_arrival(self, job: Any) -> None:
+        """Queue a data request, or start serving it if a slot is free."""
         if self.down:
             self.dropped_requests += 1
             return
-        if packet.is_digest or packet.is_migration:
-            self._handle_metadata(packet)
-            return
         self.arrivals += 1
-        if self.queue_size + 1 > self.max_queue_seen:
-            self.max_queue_seen = self.queue_size + 1
+        queued = len(self._waiting) + self._in_service + 1
+        if queued > self.max_queue_seen:
+            self.max_queue_seen = queued
+        now = self.env.now
         if self._in_service < self.parallelism:
-            self._begin_service(packet, arrived_at=self.env.now)
+            self._begin_service(job, arrived_at=now)
         else:
-            self._waiting.append((packet, self.env.now))
+            self._waiting.append((job, now))
 
-    def _begin_service(self, packet: Packet, arrived_at: float) -> None:
+    def _begin_service(self, job: Any, arrived_at: float) -> None:
         self._in_service += 1
-        duration = self._draws.exponential(self.service_model.current_mean)
-        packet.server_queue_delay = self.env.now - arrived_at
-        packet.server_service_time = duration
-        self.env.post_in(duration, self._complete, (packet, duration, self._epoch))
+        now = self.env.now
+        duration = self._draws.exponential(self.service_model.mean_at(now))
+        if self.host is not None:
+            # Per-request server telemetry rides on the packet.
+            job.server_queue_delay = now - arrived_at
+            job.server_service_time = duration
+        self.env.post_in(duration, self._complete, (job, duration, self._epoch))
 
-    def _complete(self, packet: Packet, duration: float, epoch: int) -> None:
+    def _complete(self, job: Any, duration: float, epoch: int) -> None:
         if epoch != self._epoch:
             # Scheduled before a crash: that work died with the server.
             return
@@ -192,17 +215,21 @@ class KVServer:
         self._ewma_service_time = (
             self._alpha * self._ewma_service_time + (1 - self._alpha) * duration
         )
+        self._reply(self, job, self.status())
+        if self._waiting:
+            next_job, arrived_at = self._waiting.popleft()
+            self._begin_service(next_job, arrived_at)
+
+    def _respond(self, packet: Packet, status: ServerStatus) -> None:
+        """The packet tier's reply: response packet, LWW fold, send."""
         response = make_response(
             packet,
             server=self.name,
-            status=self.status(),
+            status=status,
             value_size=self.value_size,
         )
         self._fold_version(packet, response)
         self.host.send(response)
-        if self._waiting:
-            next_packet, arrived_at = self._waiting.popleft()
-            self._begin_service(next_packet, arrived_at)
 
     # ------------------------------------------------------------------
     # Consistency protocol (see docs/CONSISTENCY.md)
@@ -222,11 +249,11 @@ class KVServer:
     def _fold_version(self, packet: Packet, response: Packet) -> None:
         """Apply a write's version (LWW) and stamp the store's onto the reply.
 
-        Called at completion time from ``_complete`` (the packet tier's only
-        write-path hook in a mirrored method; the flow tier drops it by
-        contract until writes are mirrored).  Ordering ties break on the
-        scenario-wide monotone ``version_id``, so last-write-wins is a total
-        order and replicas converge regardless of apply order.
+        Called at completion time from ``_respond``, the packet tier's
+        reply (the flow tier rejects write workloads, so its reply has no
+        fold).  Ordering ties break on the scenario-wide monotone
+        ``version_id``, so last-write-wins is a total order and replicas
+        converge regardless of apply order.
         """
         if packet.is_write:
             incoming = (packet.version_ts, packet.version_id)

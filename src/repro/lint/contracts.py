@@ -14,8 +14,8 @@ Three rule families:
   annotations and asserts are stripped, per-side rename maps unify
   vocabulary (``self.env`` vs ``self.engine``), declared *drop patterns*
   remove tier-specific transport statements, and declared *equivalences*
-  whitelist known-safe rewrites (``env.post_in(...)`` vs
-  ``heappush``-backed ``engine._post(...)``).  The first divergent
+  whitelist known-safe rewrites (``entry.timer = engine.call_in(...)`` vs
+  the micro-heap's ``engine.post_in(...)``).  The first divergent
   statement is reported with both spellings.  :class:`ExprAnchor`
   contracts additionally pin a formula (e.g. the C3 cubic score) that must
   appear, normalized, at every declared site.
@@ -246,9 +246,9 @@ CONTRACT_RULES: Dict[str, Rule] = {
             "divergence is drift."
         ),
         example_bad=(
-            "# KVServer._complete gained a statement ...\n"
-            "self.rate_samples += 1\n"
-            "# ... that _FlowServer._complete never received"
+            "# KVClient._fire_redundant gained a statement ...\n"
+            "self.duplicate_bytes += self.value_size\n"
+            "# ... that _FlowClient._fire_redundant never received"
         ),
         example_fix=(
             "replay the edit into the mirror in the same commit, or\n"

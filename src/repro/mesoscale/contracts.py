@@ -1,10 +1,13 @@
 """Declared flow-vs-packet mirror contracts (checked by ``netrs contracts``).
 
-The flow tier (:mod:`repro.mesoscale.flow`) replays the packet tier's
-client/server/selector/workload logic line for line; that claim is enforced
-statically by ``repro.lint.contracts`` (rule CON001), which compares each
-pair below as normalized ASTs.  Every rename, drop and equivalence here is
-a *reviewed, allowed* rewrite -- the flow tier's transport substitutions
+Both tiers run the same server, accelerator, NetRS selector and service
+fluctuation classes (``KVServer``, ``Accelerator``, ``NetRSSelector``,
+``BimodalFluctuation``/``StableService``); only the client endpoint and
+the workload's arrival loop are still written twice.  The flow tier
+(:mod:`repro.mesoscale.flow`) replays those line for line, and rule CON001
+of ``repro.lint.contracts`` enforces it by comparing each pair below as
+normalized ASTs.  Every rename, drop and equivalence here is a *reviewed,
+allowed* rewrite -- the flow tier's transport substitutions
 (``host.send`` -> closed-form delivery, ``env.call_in`` -> the micro-heap)
 and its read-only-path omissions (writes, trace sinks, fault-free guards).
 Anything not declared is drift and fails CI.
@@ -17,13 +20,11 @@ CON002 contracts bind the RNG surface: the stream *families* both tiers
 create (a renamed family is a silently different seed) and the ordered
 draws on the shared mixed-family arrival stream.
 
-The vectorized flow tier (:mod:`repro.mesoscale.vector`) is a third layer
-of the same discipline: its batched prologue and flat endpoints replay the
-scalar flow tier, with the *scalar* engine as oracle.  Most of its surface
-is structurally vectorized (one megaloop instead of per-entity methods)
-and is covered by the runtime byte-identity suites instead; the endpoints
-below stayed statement-shaped, so they get static pairs too, and its
-arrival-stream draw order is pinned against ``FlowEngine._arrival``.
+The vectorized flow tier (:mod:`repro.mesoscale.vector`) replays the
+scalar flow tier, with the *scalar* engine as oracle.  Its surface is
+structurally vectorized (one megaloop instead of per-entity methods) and
+is covered by the runtime byte-identity suites instead; its arrival-stream
+draw order is pinned against ``FlowEngine._arrival``.
 """
 
 from __future__ import annotations
@@ -38,11 +39,8 @@ from repro.lint.contracts import (
 
 _FLOW = "src/repro/mesoscale/flow.py"
 _VECTOR = "src/repro/mesoscale/vector.py"
-_SERVER = "src/repro/kvstore/server.py"
 _CLIENT = "src/repro/kvstore/client.py"
 _WORKLOAD = "src/repro/kvstore/workload.py"
-_FLUCTUATION = "src/repro/kvstore/fluctuation.py"
-_SELECTOR_NODE = "src/repro/core/selector_node.py"
 _SCENARIOS = "src/repro/experiments/scenarios.py"
 
 #: The packet tier's write path sends real packets; the flow tier reuses
@@ -73,93 +71,6 @@ _REDUNDANT_PACKET = (
 )
 
 MIRROR_PAIRS = (
-    # -- KVServer <-> _FlowServer --------------------------------------
-    MirrorPair(
-        name="server.fail",
-        reference=Site(_SERVER, "KVServer.fail"),
-        mirror=Site(_FLOW, "_FlowServer.fail"),
-    ),
-    MirrorPair(
-        name="server.recover",
-        reference=Site(_SERVER, "KVServer.recover"),
-        mirror=Site(_FLOW, "_FlowServer.recover"),
-    ),
-    MirrorPair(
-        name="server.arrival",
-        reference=Site(_SERVER, "KVServer.handle_packet"),
-        mirror=Site(_FLOW, "_FlowServer.handle_arrival"),
-        # Version digests and migration transfers are consistency-protocol
-        # metadata (docs/CONSISTENCY.md); the flow tier rejects write/churn
-        # configs up front, so the dispatch has no mirror.
-        drop_reference=(
-            "if packet.is_digest or packet.is_migration: ...",
-        ),
-        equivalences=(
-            (
-                "self._begin_service(packet, arrived_at=self.env.now)",
-                "self._begin(client, rid, rv)",
-            ),
-            (
-                "self._waiting.append((packet, self.env.now))",
-                "self._waiting.append((client, rid, rv))",
-            ),
-        ),
-    ),
-    MirrorPair(
-        name="server.begin_service",
-        reference=Site(_SERVER, "KVServer._begin_service"),
-        mirror=Site(_FLOW, "_FlowServer._begin"),
-        # The packet tier stamps per-packet telemetry; the flow tier has no
-        # packet.  The calibration scale multiplies by exactly 1.0 in
-        # fidelity-checked runs.
-        drop_reference=(
-            "packet.server_queue_delay = self.env.now - arrived_at",
-            "packet.server_service_time = duration",
-        ),
-        drop_mirror=(
-            "engine = self.engine",
-            "duration *= engine.service_time_scale",
-        ),
-        renames=(
-            ("self.service_model.current_mean", "self._mean.mean_at(engine.now)"),
-        ),
-        equivalences=(
-            (
-                "self.env.post_in(duration, self._complete, (packet, duration, self._epoch))",
-                "engine._post(duration, self._complete, (client, rid, rv, duration, self._epoch))",
-            ),
-        ),
-    ),
-    MirrorPair(
-        name="server.complete",
-        reference=Site(_SERVER, "KVServer._complete"),
-        mirror=Site(_FLOW, "_FlowServer._complete"),
-        # LWW version folding only matters once writes exist, and the flow
-        # tier rejects write workloads (mesoscale.support).
-        drop_reference=("self._fold_version(packet, response)",),
-        drop_mirror=("engine = self.engine",),
-        equivalences=(
-            (
-                "response = make_response(packet, server=self.name, "
-                "status=self.status(), value_size=self.value_size)",
-                "status = ServerStatus(queue_size=len(self._waiting) + self._in_service, "
-                "service_rate=self.parallelism / self._ewma_service_time, "
-                "timestamp=engine.now)",
-            ),
-            (
-                "self.host.send(response)",
-                "engine._send_response(self, client, rid, rv, status)",
-            ),
-            (
-                "next_packet, arrived_at = self._waiting.popleft()",
-                "next_client, next_rid, next_rv = self._waiting.popleft()",
-            ),
-            (
-                "self._begin_service(next_packet, arrived_at)",
-                "self._begin(next_client, next_rid, next_rv)",
-            ),
-        ),
-    ),
     # -- KVClient <-> _FlowClient --------------------------------------
     MirrorPair(
         name="client.issue",
@@ -187,18 +98,18 @@ MIRROR_PAIRS = (
             (
                 "self.host.send(packet)",
                 "if self.netrs:\n"
-                "    engine._send_via_operator(self, request_id, entry)\n"
+                "    engine._send_via_operator(self, request_id, entry.rgid)\n"
                 "else:\n"
                 "    engine._send_request(self, request_id, entry, primary_target)",
             ),
             (
                 "entry.timer = engine.call_in(delay, self._fire_redundant, request_id)",
-                "engine._post(self._redundancy_threshold(), self._fire_redundant, (request_id,))",
+                "engine.post_in(self._redundancy_threshold(), self._fire_redundant, (request_id,))",
             ),
             (
                 "entry.timeout_timer = engine.call_in(self.request_timeout, "
                 "self._on_timeout, request_id)",
-                "engine._post(self.request_timeout, self._on_timeout, (request_id,))",
+                "engine.post_in(self.request_timeout, self._on_timeout, (request_id,))",
             ),
         ),
     ),
@@ -244,7 +155,7 @@ MIRROR_PAIRS = (
         drop_mirror=(
             "engine = self.engine",
             "self.requests_sent += 1",
-            "engine._send_via_operator(self, request_id, entry)",
+            "engine._send_via_operator(self, request_id, entry.rgid)",
             "engine._send_request(self, request_id, entry, target)",
         ),
         equivalences=(
@@ -258,7 +169,7 @@ MIRROR_PAIRS = (
             ),
             (
                 "entry.timeout_timer = engine.call_in(delay, self._on_timeout, request_id)",
-                "engine._post(delay, self._on_timeout, (request_id,))",
+                "engine.post_in(delay, self._on_timeout, (request_id,))",
             ),
         ),
     ),
@@ -297,79 +208,6 @@ MIRROR_PAIRS = (
             ),
         ),
     ),
-    # -- service fluctuation -------------------------------------------
-    MirrorPair(
-        name="fluctuation.draw",
-        reference=Site(_FLUCTUATION, "BimodalFluctuation._draw"),
-        mirror=Site(_FLOW, "_Fluctuation._draw"),
-        renames=(("self.base_service_time", "self.base"),),
-    ),
-    # -- NetRS selector (accelerator work) -----------------------------
-    MirrorPair(
-        name="selector.on_request",
-        reference=Site(_SELECTOR_NODE, "NetRSSelector.on_request"),
-        mirror=Site(_FLOW, "FlowEngine._select_work"),
-        renames=(
-            ("self.env.now", "self._now"),
-            ("self.algorithm", "op.selector"),
-            ("packet.rgid", "entry.rgid"),
-            ("self.requests_handled", "op.requests_handled"),
-        ),
-        # The flow tier's entry always carries a valid RGID (no wire
-        # parsing), and the packet rebuild has no packet to rebuild.
-        drop_reference=(
-            "if packet.rgid < 0: ...",
-            "packet.dst = server",
-            "packet.server = server",
-            "packet.retaining_value = now",
-            "packet.selected_at = now",
-            "packet.magic = magic_transform(MAGIC_RESPONSE)",
-        ),
-        equivalences=(
-            ("return packet", "return (op, client, rid, server, now)"),
-        ),
-    ),
-    MirrorPair(
-        name="selector.on_response",
-        reference=Site(_SELECTOR_NODE, "NetRSSelector.on_response"),
-        mirror=Site(_FLOW, "FlowEngine._absorb_response"),
-        renames=(
-            ("self.env.now", "now"),
-            ("self.algorithm", "op.selector"),
-            ("packet.server", "server_name"),
-            ("packet.server_status", "status"),
-            ("packet.retaining_value", "rv"),
-            ("self.responses_handled", "op.responses_handled"),
-            ("response_time", "now - rv"),
-        ),
-        drop_reference=(
-            "if packet.server_status is None: ...",
-            "response_time = self.env.now - packet.retaining_value",
-        ),
-        drop_mirror=(
-            "now = self._now",
-            "return None",
-        ),
-    ),
-    # -- scalar flow tier <-> vectorized flow tier ---------------------
-    MirrorPair(
-        # The vector server reads queue depth into a local instead of the
-        # scalar tier's ``queue_size`` property (same expression, hoisted
-        # out of the double read); everything else is line for line.
-        name="vector.server.arrival",
-        reference=Site(_FLOW, "_FlowServer.handle_arrival"),
-        mirror=Site(_VECTOR, "_VFlowServer.handle_arrival"),
-        renames=(("self.queue_size", "queued"),),
-        drop_mirror=("queued = len(self._waiting) + self._in_service",),
-    ),
-    MirrorPair(
-        # The vector engine keeps RGIDs in a rid-indexed array instead of
-        # per-request entry objects; the selector interaction is identical.
-        name="vector.selector.on_request",
-        reference=Site(_FLOW, "FlowEngine._select_work"),
-        mirror=Site(_VECTOR, "VectorFlowEngine._select_work"),
-        renames=(("entry.rgid", "self._rgid_of[rid]"),),
-    ),
     # -- workload arrival loop -----------------------------------------
     MirrorPair(
         name="workload.arrival",
@@ -381,7 +219,7 @@ MIRROR_PAIRS = (
             ("self.warmup_requests", "self._warmup"),
             ("self.total_requests", "self._total"),
             ("self.rate", "self._rate"),
-            ("self.env.call_in", "self._post"),
+            ("self.env.call_in", "self.post_in"),
         ),
         drop_reference=("if self.on_finished is not None: ...",),
         equivalences=(

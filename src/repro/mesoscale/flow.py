@@ -4,11 +4,22 @@ The packet tier spends ~10 engine events per request walking every hop of
 the fat-tree.  Under the paper's default link model those hops are *pure
 constant delays*: every ECMP path between two hosts is latency-equal, so the
 network's only contribution to a request's latency is a deterministic sum of
-per-hop constants.  The flow tier exploits that: it keeps the **exact**
-client, server, selector and workload logic of the packet tier (same code
-shapes, same named RNG streams, same EWMA arithmetic) but replaces packet
-forwarding with closed-form path delays, and runs request/completion
+per-hop constants.  The flow tier exploits that: it replaces packet
+forwarding with closed-form path delays and runs request/completion
 micro-events on a lean internal heap instead of the generic engine schedule.
+
+The endpoints are the packet tier's own classes wherever the logic does not
+touch a packet.  Servers are :class:`~repro.kvstore.server.KVServer` with
+the same :class:`~repro.kvstore.fluctuation.BimodalFluctuation` /
+``StableService`` models, and each NetRS RSNode is a
+:class:`~repro.core.selector_node.NetRSSelector` on an
+:class:`~repro.network.accelerator.Accelerator`.  They take this engine as
+their ``env``: it offers ``now``, ``post_in`` and ``post_at`` on the
+micro-heap.  A server's jobs are ``(client, request_id, retaining_value)``
+tuples and its reply is :meth:`FlowEngine._send_response`.  The client
+endpoint (``_FlowClient``) and the arrival loop are still mirrors of
+``KVClient`` and ``OpenLoopWorkload``, pinned by the CON001 contracts in
+:mod:`repro.mesoscale.contracts`.
 
 The :class:`~repro.sim.core.Environment` is still the macro clock: fault
 transitions and periodic completion-batch heartbeats run on it, so
@@ -18,21 +29,21 @@ delivery, timers) are counted separately in ``FlowEngine.micro_events``.
 
 Fidelity: with ``link_bandwidth=None`` (the paper's configuration) the flow
 tier accumulates per-hop delays with the same float additions the packet
-engine performs hop by hop, consumes the same named RNG streams in the same
-order, and mirrors queueing/EWMA/timer logic line for line -- CliRS runs are
-bit-comparable to the packet tier up to tie-breaking noise (validated by
-``netrs validate-fidelity``).  With ``link_bandwidth`` set, serialization
-and access-link queueing are added analytically (M/D/1 mean waiting), which
-is an approximation; see docs/MESOSCALE.md.
+engine performs hop by hop and consumes the same named RNG streams in the
+same order -- CliRS runs are bit-comparable to the packet tier up to
+tie-breaking noise (validated by ``netrs validate-fidelity``).  With
+``link_bandwidth`` set, serialization and access-link queueing are added
+analytically (M/D/1 mean waiting) per direction and packet size, which is
+an approximation; see docs/MESOSCALE.md.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.selector_node import NetRSSelector
 from repro.errors import ConfigurationError
 from repro.faults.events import (
     LinkDegrade,
@@ -43,10 +54,13 @@ from repro.faults.events import (
 )
 from repro.faults.schedule import parse_fault_schedule
 from repro.kvstore.client import CompletionTracker, RedundancyPolicy
+from repro.kvstore.fluctuation import BimodalFluctuation, StableService
 from repro.kvstore.hashing import shared_ring
+from repro.kvstore.server import KVServer
 from repro.kvstore.workload import DemandWeights, ZipfSampler
 from repro.mesoscale.geometry import FatTreeGeometry
 from repro.mesoscale.support import ensure_flow_supported
+from repro.network.accelerator import Accelerator
 from repro.network.packet import (
     _SIZE_MF,
     _SIZE_RGID,
@@ -72,52 +86,6 @@ _BACKOFF_CAP = 8.0
 _FLUSH_EVERY = 4096
 
 _MicroFn = Callable[..., None]
-
-
-class _Fluctuation:
-    """Replays the packet tier's :class:`BimodalFluctuation` as a timeline.
-
-    The packet tier ticks a per-server timer every ``interval`` seconds and
-    redraws the mean; each tick consumes one draw from the server's
-    ``fluctuation.{name}`` stream.  Here the same draws are made lazily when
-    service beginnings cross tick boundaries.  Boundaries accumulate with
-    the same float additions as the packet tier's ``call_in`` chain, and
-    begin-times are non-decreasing per server, so a single forward pointer
-    reproduces the exact tick-aligned mean sequence.
-    """
-
-    __slots__ = ("base", "range_parameter", "interval", "_draws", "_current", "_next")
-
-    def __init__(self, base: float, range_parameter: float, interval: float, draws) -> None:
-        self.base = base
-        self.range_parameter = range_parameter
-        self.interval = interval
-        self._draws = draws
-        self._current = self._draw()  # construction-time draw, like the model
-        self._next = 0.0 + interval
-
-    def _draw(self) -> float:
-        if self._draws.random() < 0.5:
-            return self.base
-        return self.base / self.range_parameter
-
-    def mean_at(self, t: float) -> float:
-        while t >= self._next:
-            self._current = self._draw()
-            self._next += self.interval
-        return self._current
-
-
-class _StableMean:
-    """Constant-mean stand-in for ``StableService``."""
-
-    __slots__ = ("_mean",)
-
-    def __init__(self, mean: float) -> None:
-        self._mean = mean
-
-    def mean_at(self, t: float) -> float:
-        return self._mean
 
 
 class _Entry:
@@ -149,103 +117,6 @@ class _Entry:
         self.attempts = 0
         self.tried: Tuple[str, ...] = ()
         self.late_seen = 0
-
-
-class _FlowServer:
-    """Np-slot FIFO server, logic mirrored from ``KVServer`` line for line."""
-
-    __slots__ = (
-        "engine",
-        "name",
-        "parallelism",
-        "_draws",
-        "_alpha",
-        "_mean",
-        "_waiting",
-        "_in_service",
-        "_ewma_service_time",
-        "completions",
-        "arrivals",
-        "max_queue_seen",
-        "down",
-        "_epoch",
-        "dropped_requests",
-        "lost_in_service",
-    )
-
-    def __init__(self, engine, name, *, parallelism, draws, alpha, mean_model):
-        self.engine = engine
-        self.name = name
-        self.parallelism = parallelism
-        self._draws = draws
-        self._alpha = alpha
-        self._mean = mean_model
-        self._waiting: Deque[tuple] = deque()
-        self._in_service = 0
-        self._ewma_service_time = mean_model.mean_at(0.0)
-        self.completions = 0
-        self.arrivals = 0
-        self.max_queue_seen = 0
-        self.down = False
-        self._epoch = 0
-        self.dropped_requests = 0
-        self.lost_in_service = 0
-
-    @property
-    def queue_size(self) -> int:
-        return len(self._waiting) + self._in_service
-
-    def fail(self) -> None:
-        if self.down:
-            return
-        self.down = True
-        self._epoch += 1
-        self.lost_in_service += self._in_service + len(self._waiting)
-        self._waiting.clear()
-        self._in_service = 0
-
-    def recover(self) -> None:
-        self.down = False
-
-    def handle_arrival(self, client, rid: int, rv: Optional[float]) -> None:
-        if self.down:
-            self.dropped_requests += 1
-            return
-        self.arrivals += 1
-        if self.queue_size + 1 > self.max_queue_seen:
-            self.max_queue_seen = self.queue_size + 1
-        if self._in_service < self.parallelism:
-            self._begin(client, rid, rv)
-        else:
-            self._waiting.append((client, rid, rv))
-
-    def _begin(self, client, rid: int, rv: Optional[float]) -> None:
-        engine = self.engine
-        self._in_service += 1
-        # Service drawn at *begin* time (same stream position as KVServer);
-        # the calibration scale is 1.0 in normal runs and multiplies exactly.
-        duration = self._draws.exponential(self._mean.mean_at(engine.now))
-        duration *= engine.service_time_scale
-        engine._post(duration, self._complete, (client, rid, rv, duration, self._epoch))
-
-    def _complete(self, client, rid, rv, duration, epoch) -> None:
-        if epoch != self._epoch:
-            return  # scheduled before a crash: died with the server
-        engine = self.engine
-        self._in_service -= 1
-        self.completions += 1
-        self._ewma_service_time = (
-            self._alpha * self._ewma_service_time + (1 - self._alpha) * duration
-        )
-        status = ServerStatus(
-            queue_size=len(self._waiting) + self._in_service,
-            service_rate=self.parallelism / self._ewma_service_time,
-            timestamp=engine.now,
-        )
-        engine._send_response(self, client, rid, rv, status)
-        if self._waiting:
-            next_client, next_rid, next_rv = self._waiting.popleft()
-            self._begin(next_client, next_rid, next_rv)
 
 
 class _FlowClient:
@@ -334,15 +205,15 @@ class _FlowClient:
         self._outstanding[request_id] = entry
         self.requests_sent += 1
         if self.netrs:
-            engine._send_via_operator(self, request_id, entry)
+            engine._send_via_operator(self, request_id, entry.rgid)
         else:
             engine._send_request(self, request_id, entry, primary_target)
         if self.redundancy is not None:
-            engine._post(
+            engine.post_in(
                 self._redundancy_threshold(), self._fire_redundant, (request_id,)
             )
         if self.request_timeout is not None:
-            engine._post(self.request_timeout, self._on_timeout, (request_id,))
+            engine.post_in(self.request_timeout, self._on_timeout, (request_id,))
         return request_id
 
     def _redundancy_threshold(self) -> float:
@@ -392,7 +263,7 @@ class _FlowClient:
         if self.netrs:
             self.selector.select(entry.replicas, now)  # fresh backup draw
             self.requests_sent += 1
-            engine._send_via_operator(self, request_id, entry)
+            engine._send_via_operator(self, request_id, entry.rgid)
         else:
             untried = tuple(r for r in entry.replicas if r not in entry.tried)
             candidates = untried or entry.replicas
@@ -406,7 +277,7 @@ class _FlowClient:
             self.requests_sent += 1
             engine._send_request(self, request_id, entry, target)
         delay = self.request_timeout * min(2.0**entry.attempts, _BACKOFF_CAP)
-        engine._post(delay, self._on_timeout, (request_id,))
+        engine.post_in(delay, self._on_timeout, (request_id,))
 
     # -- responses -----------------------------------------------------
     def handle_response(self, request_id: int, server: str, status: ServerStatus) -> None:
@@ -434,66 +305,6 @@ class _FlowClient:
         if entry.duplicates_sent == 0 and entry.attempts == 0:
             del self._outstanding[request_id]
         engine._complete_request()
-
-
-class _FlowAccelerator:
-    """Deterministic-service FIFO accelerator, mirroring ``Accelerator``."""
-
-    __slots__ = ("engine", "cores", "service_time", "link_delay", "_busy", "_queue", "processed", "busy_time", "max_queue_seen")
-
-    def __init__(self, engine, *, cores, service_time, link_delay):
-        self.engine = engine
-        self.cores = cores
-        self.service_time = service_time
-        self.link_delay = link_delay
-        self._busy = 0
-        self._queue: Deque[tuple] = deque()
-        self.processed = 0
-        self.busy_time = 0.0
-        self.max_queue_seen = 0
-
-    def submit_at(self, when: float, work: _MicroFn, args: tuple, done: Optional[_MicroFn]) -> None:
-        """Ship a job over the switch<->accelerator link at time ``when``."""
-        self.engine._post_at(when + self.link_delay, self._enqueue, ((work, args, done),))
-
-    def _enqueue(self, job: tuple) -> None:
-        if self._busy < self.cores:
-            self._busy += 1
-            self.engine._post(self.service_time, self._complete, (job,))
-        else:
-            self._queue.append(job)
-            if len(self._queue) > self.max_queue_seen:
-                self.max_queue_seen = len(self._queue)
-
-    def _complete(self, job: tuple) -> None:
-        work, args, done = job
-        self.processed += 1
-        self.busy_time += self.service_time
-        result = work(*args)
-        if done is not None and result is not None:
-            self.engine._post(self.link_delay, done, result)
-        if self._queue:
-            self.engine._post(self.service_time, self._complete, (self._queue.popleft(),))
-        else:
-            self._busy -= 1
-
-    def utilization(self, now: float) -> float:
-        if now <= 0:
-            return 0.0
-        return self.busy_time / (self.cores * now)
-
-
-class _FlowOperator:
-    """A NetRS RSNode at one client-fronting ToR (selector + accelerator)."""
-
-    __slots__ = ("tor", "selector", "accelerator", "requests_handled", "responses_handled")
-
-    def __init__(self, tor, selector, accelerator):
-        self.tor = tor
-        self.selector = selector
-        self.accelerator = accelerator
-        self.requests_handled = 0
-        self.responses_handled = 0
 
 
 class _FaultDriver:
@@ -607,20 +418,14 @@ class _FaultDriver:
 class FlowEngine:
     """One flow-level experiment: state, micro-event loop and accounting."""
 
-    def __init__(
-        self,
-        config,
-        *,
-        env: Optional[Environment] = None,
-        service_time_scale: float = 1.0,
-    ) -> None:
+    def __init__(self, config, *, service_time_scale: float = 1.0) -> None:
         config.validate()
         ensure_flow_supported(config)
         if service_time_scale <= 0:
             raise ConfigurationError("service_time_scale must be positive")
         self.config = config
-        self.env = env if env is not None else Environment(compaction=config.engine_compaction)
-        self.service_time_scale = service_time_scale
+        self._is_netrs = bool(config.netrs)
+        self.env = Environment(compaction=config.engine_compaction)
         self.geometry = FatTreeGeometry(config.fat_tree_k)
         rng = RngRegistry(config.seed)
         self.rng = rng
@@ -666,11 +471,14 @@ class FlowEngine:
         # --- link model ----------------------------------------------------
         h = config.host_link_latency
         s = config.switch_link_latency
-        self._host_lat = h
-        self._switch_lat = s
+        # Request paths, CliRS response paths, NetRS legs to and from the
+        # client's ToR, and the client access link in each direction.  The
+        # bandwidth model widens each for its own packet size.
         self._full_path = {2: (h, h), 4: (h, s, s, h), 6: (h, s, s, s, s, h)}
+        self._response_path = self._full_path
         self._from_tor = {2: (h,), 4: (s, s, h), 6: (s, s, s, s, h)}
         self._to_tor = {2: (h,), 4: (h, s, s), 6: (h, s, s, s, s)}
+        self._host_lat_request = self._host_lat_response = h
         self._sizes = _wire_sizes(config)
         if config.link_bandwidth is not None:
             self._apply_bandwidth_model(config)
@@ -683,24 +491,31 @@ class FlowEngine:
         self.netrs_overhead_bytes = 0
 
         # --- servers -------------------------------------------------------
-        self.servers: Dict[str, _FlowServer] = {}
+        # The packet tier's own server and service models, run on the
+        # micro-heap; the calibration scale multiplies the mean (exactly
+        # 1.0 in normal runs).
+        mean = config.mean_service_time * service_time_scale
+        self.servers: Dict[str, KVServer] = {}
         for name in self.server_hosts:
             if config.fluctuation_range > 1.0:
-                mean_model = _Fluctuation(
-                    config.mean_service_time,
-                    config.fluctuation_range,
-                    config.fluctuation_interval,
-                    rng.batched(f"fluctuation.{name}", batch),
+                model = BimodalFluctuation(
+                    base_service_time=mean,
+                    range_parameter=config.fluctuation_range,
+                    interval=config.fluctuation_interval,
+                    rng=rng.batched(f"fluctuation.{name}", batch),
+                    origin=self._now,
                 )
             else:
-                mean_model = _StableMean(config.mean_service_time)
-            self.servers[name] = _FlowServer(
+                model = StableService(mean)
+            self.servers[name] = KVServer(
                 self,
-                name,
+                None,
+                name=name,
+                service_model=model,
                 parallelism=config.parallelism,
-                draws=rng.batched(f"service.{name}", service_batch),
-                alpha=config.ewma_alpha,
-                mean_model=mean_model,
+                rng=rng.batched(f"service.{name}", service_batch),
+                rate_ewma_alpha=config.ewma_alpha,
+                reply=self._send_response,
             )
 
         # --- clients -------------------------------------------------------
@@ -715,6 +530,8 @@ class FlowEngine:
             if config.redundancy_enabled
             else None
         )
+        # Where responses land: ``fn(client, request_id, server, status)``.
+        self._on_response: _MicroFn = _FlowClient.handle_response
         self.clients: List[_FlowClient] = []
         for name in self.client_hosts:
             selector = create_selector(
@@ -743,25 +560,28 @@ class FlowEngine:
             )
 
         # --- NetRS operators (netrs-tor: one RSNode per client ToR) --------
-        self.operators: Dict[str, _FlowOperator] = {}
-        self._operator_of: Dict[str, _FlowOperator] = {}
+        self.operators: Dict[str, Tuple[NetRSSelector, Accelerator]] = {}
+        self._operator_of: Dict[str, Tuple[NetRSSelector, Accelerator]] = {}
         if config.netrs:
             tors = sorted({self.geometry.tor_name(name) for name in self.client_hosts})
             n_rsnodes = len(tors)
             for index, tor in enumerate(tors, start=1):
-                selector = create_selector(
+                algorithm = create_selector(
                     config.algorithm,
                     concurrency_weight=n_rsnodes,
                     prior_service_rate=config.prior_service_rate(),
                     rng=rng.stream(f"selector.operator.{index}"),
                 )
-                accelerator = _FlowAccelerator(
-                    self,
-                    cores=config.accelerator_cores,
-                    service_time=config.accelerator_service_time,
-                    link_delay=config.accelerator_link_delay,
+                self.operators[tor] = (
+                    NetRSSelector(self, algorithm=algorithm, ring=self.ring),
+                    Accelerator(
+                        self,
+                        f"acc:{tor}",
+                        cores=config.accelerator_cores,
+                        service_time=config.accelerator_service_time,
+                        link_delay=config.accelerator_link_delay,
+                    ),
                 )
-                self.operators[tor] = _FlowOperator(tor, selector, accelerator)
             for name in self.client_hosts:
                 self._operator_of[name] = self.operators[self.geometry.tor_name(name)]
 
@@ -796,11 +616,11 @@ class FlowEngine:
     def now(self) -> float:
         return self._now
 
-    def _post(self, delay: float, fn: _MicroFn, args: tuple = ()) -> None:
+    def post_in(self, delay: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
         heappush(self._heap, (self._now + delay, self._seq, fn, args))
 
-    def _post_at(self, when: float, fn: _MicroFn, args: tuple = ()) -> None:
+    def post_at(self, when: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
         heappush(self._heap, (when, self._seq, fn, args))
 
@@ -821,7 +641,7 @@ class FlowEngine:
 
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
-        self._post(
+        self.post_in(
             self._arrival_rng.exponential(1.0 / self._rate), self._arrival  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload
         )
         heap = self._heap
@@ -880,7 +700,7 @@ class FlowEngine:
         self.issued += 1
         self.clients[index].issue(key, record=record)
         if self.issued < self._total:
-            self._post(
+            self.post_in(
                 self._arrival_rng.exponential(1.0 / self._rate), self._arrival  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload
             )
 
@@ -943,7 +763,7 @@ class FlowEngine:
             for d in hops:
                 t += d
             self._account(len(hops), size, overhead)
-            self._post_at(t, fn, args)
+            self.post_at(t, fn, args)
             return
         if first_link is not None and first_link in self._dead_links:
             self.packets_dropped += 1
@@ -958,12 +778,12 @@ class FlowEngine:
             for d in hops[1:]:
                 t += d
             self._account(len(hops), size, overhead)
-            self._post_at(t, fn, args)
+            self.post_at(t, fn, args)
             return
         for d in hops[1:-1]:
             t += d
         self._account(len(hops) - 1, size, overhead)
-        self._post_at(
+        self.post_at(
             t, self._final_hop, (last_link, hops[-1], size, overhead, fn, args)
         )
 
@@ -976,7 +796,7 @@ class FlowEngine:
         if factor is not None:
             lat *= factor
         self._account(1, size, overhead)
-        self._post_at(self._now + lat, fn, args)
+        self.post_at(self._now + lat, fn, args)
 
     # -- CliRS paths ---------------------------------------------------
     def _send_request(self, client: _FlowClient, rid: int, entry: _Entry, target: str) -> None:
@@ -988,14 +808,16 @@ class FlowEngine:
             last = (self.geometry.tor_name(target), target)
         self._send_along(
             hops, first, last, size, overhead,
-            self.servers[target].handle_arrival, (client, rid, None),
+            self.servers[target].handle_arrival, ((client, rid, None),),
         )
 
-    def _send_response(self, server, client, rid, rv, status) -> None:
-        if self.config.netrs:
+    def _send_response(self, server: KVServer, job: tuple, status: ServerStatus) -> None:
+        """Every server's reply: deliver a completed job's response."""
+        client, rid, rv = job
+        if self._is_netrs:
             self._send_netrs_response(server, client, rid, rv, status)
             return
-        hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
+        hops = self._response_path[self.geometry.hop_count(server.name, client.name)]
         size, overhead = self._sizes["response"]
         first = last = None
         if self._guarded:
@@ -1003,14 +825,14 @@ class FlowEngine:
             last = (self.geometry.tor_name(client.name), client.name)
         self._send_along(
             hops, first, last, size, overhead,
-            client.handle_response, (rid, server.name, status),
+            self._on_response, (client, rid, server.name, status),
         )
 
     # -- NetRS paths (netrs-tor: RSNode at the client's ToR) -----------
-    def _send_via_operator(self, client: _FlowClient, rid: int, entry: _Entry) -> None:
-        op = self._operator_of[client.name]
+    def _send_via_operator(self, client: _FlowClient, rid: int, rgid: int) -> None:
+        selector, accelerator = self._operator_of[client.name]
         link = (client.name, self.geometry.tor_name(client.name))
-        lat = self._host_lat
+        lat = self._host_lat_request
         if self._guarded:
             if link in self._dead_links:
                 self.packets_dropped += 1
@@ -1021,27 +843,27 @@ class FlowEngine:
         size, overhead = self._sizes["netrs_request"]
         self._account(1, size, overhead)
         # Host -> ToR, then ToR -> accelerator (submit adds the link delay).
-        op.accelerator.submit_at(
-            self._now + lat, self._select_work, (op, client, rid, entry), self._forward_selected
+        accelerator.submit_at(
+            self._now + lat,
+            (selector, client, rid, rgid),
+            self._select_work,
+            self._forward_selected,
         )
 
-    def _select_work(self, op: _FlowOperator, client, rid, entry):
-        """Accelerator work: mirror of ``NetRSSelector.on_request``."""
-        now = self._now
-        candidates = self.ring.replicas(entry.rgid)
-        server = op.selector.select(candidates, now)
-        op.selector.note_sent(server, now)
-        op.requests_handled += 1
-        return (op, client, rid, server, now)  # retaining value = now
+    def _select_work(self, job: tuple) -> tuple:
+        """Accelerator work: the RSNode's selector picks the replica."""
+        selector, client, rid, rgid = job
+        return (client, rid, selector.choose(rgid), self._now)  # retaining value = now
 
-    def _forward_selected(self, op, client, rid, server, rv) -> None:
+    def _forward_selected(self, selected: tuple) -> None:
         """Rebuilt request leaves the ToR toward the selected server."""
+        client, rid, server, rv = selected
         hops = self._from_tor[self.geometry.hop_count(client.name, server)]
         size, overhead = self._sizes["netrs_request"]
         last = (self.geometry.tor_name(server), server) if self._guarded else None
         self._send_along(
             hops, None, last, size, overhead,
-            self.servers[server].handle_arrival, (client, rid, rv),
+            self.servers[server].handle_arrival, ((client, rid, rv),),
         )
 
     def _send_netrs_response(self, server, client, rid, rv, status) -> None:
@@ -1066,16 +888,14 @@ class FlowEngine:
         if len(hops) > 1:
             marked_size, marked_overhead = self._sizes["netrs_response_marked"]
             self._account(len(hops) - 1, marked_size, marked_overhead)
-        self._post_at(t, self._tor_response, (client, rid, rv, server.name, status))
+        self.post_at(t, self._tor_response, (client, rid, rv, server.name, status))
 
     def _tor_response(self, client, rid, rv, server_name, status) -> None:
         """Response reaches the client's ToR: clone to the RSNode, forward."""
-        op = self._operator_of[client.name]
-        op.accelerator.submit_at(
-            self._now, self._absorb_response, (op, rv, server_name, status), None
-        )
+        selector, accelerator = self._operator_of[client.name]
+        accelerator.submit((selector, rv, server_name, status), self._absorb_response)
         link = (self.geometry.tor_name(client.name), client.name)
-        lat = self._host_lat
+        lat = self._host_lat_response
         if self._guarded:
             if link in self._dead_links:
                 self.packets_dropped += 1
@@ -1085,14 +905,12 @@ class FlowEngine:
                 lat *= factor
         size, overhead = self._sizes["netrs_response_marked"]
         self._account(1, size, overhead)
-        self._post_at(lat + self._now, client.handle_response, (rid, server_name, status))
+        self.post_at(lat + self._now, self._on_response, (client, rid, server_name, status))
 
-    def _absorb_response(self, op: _FlowOperator, rv, server_name, status):
-        """Accelerator work: mirror of ``NetRSSelector.on_response``."""
-        now = self._now
-        op.selector.note_response(server_name, now - rv, status, now)
-        op.responses_handled += 1
-        return None
+    def _absorb_response(self, job: tuple) -> None:
+        """Accelerator work: the RSNode's selector folds the cloned status."""
+        selector, rv, server_name, status = job
+        selector.absorb(server_name, rv, status)
 
     # ------------------------------------------------------------------
     # Bandwidth model (analytic, see docs/MESOSCALE.md "Serialization")
@@ -1106,8 +924,9 @@ class FlowEngine:
             resp_size = self._sizes["netrs_response_marked"][0]
         s_req = req_size * 8.0 / bandwidth
         s_resp = resp_size * 8.0 / bandwidth
-        lam_client = self._rate / config.n_clients
-        lam_server = self._rate / config.n_servers
+        rate = config.arrival_rate()
+        lam_client = rate / config.n_clients
+        lam_server = rate / config.n_servers
         wait_req = _md1_wait(lam_server, s_req)
         wait_resp = _md1_wait(lam_server, s_resp)
         wait_client_req = _md1_wait(lam_client, s_req)
@@ -1119,6 +938,12 @@ class FlowEngine:
             widened[-1] = hops[-1] + last_extra
             return tuple(widened)
 
+        self._response_path = {
+            count: widen(
+                self._full_path[count], s_resp + wait_resp, s_resp, s_resp + wait_client_resp
+            )
+            for count in (2, 4, 6)
+        }
         for count in (2, 4, 6):
             self._full_path[count] = widen(
                 self._full_path[count], s_req + wait_client_req, s_req, s_req + wait_req
@@ -1129,17 +954,9 @@ class FlowEngine:
             self._to_tor[count] = widen(
                 self._to_tor[count], s_resp + wait_resp, s_resp, s_resp
             )
-        # Response final hop onto the client access link.
-        self._host_lat_response = self._host_lat + s_resp + wait_client_resp
-        # CliRS responses reuse _full_path sized for requests; rebuild a
-        # response-direction table instead.
-        base = {2: (self._host_lat, self._host_lat),
-                4: (self._host_lat, self._switch_lat, self._switch_lat, self._host_lat),
-                6: (self._host_lat,) + (self._switch_lat,) * 4 + (self._host_lat,)}
-        self._response_path = {
-            count: widen(base[count], s_resp + wait_resp, s_resp, s_resp + wait_client_resp)
-            for count in (2, 4, 6)
-        }
+        # The client access link, onto the ToR and off it.
+        self._host_lat_request += s_req + wait_client_req
+        self._host_lat_response += s_resp + wait_client_resp
 
     # ------------------------------------------------------------------
     # Result accounting helpers
@@ -1147,11 +964,10 @@ class FlowEngine:
     def accelerator_max_utilization(self) -> float:
         if not self.operators:
             return 0.0
-        now = self._now
-        return max(op.accelerator.utilization(now) for op in self.operators.values())
+        return max(acc.utilization() for _, acc in self.operators.values())
 
     def selector_requests_handled(self) -> int:
-        return sum(op.requests_handled for op in self.operators.values())
+        return sum(sel.requests_handled for sel, _ in self.operators.values())
 
 
 def _md1_wait(rate: float, service: float) -> float:

@@ -29,8 +29,8 @@ def run_flow_experiment(
 ) -> ExperimentResult:
     """Run ``config`` on the flow tier; returns the standard result schema.
 
-    ``service_time_scale`` multiplies every drawn service time (1.0 in
-    normal runs); the validation harness uses it to build deliberately
+    ``service_time_scale`` multiplies every server's mean service time
+    (1.0 in normal runs); the validation harness uses it to build deliberately
     mis-calibrated fixtures.  With ``keep_engine`` the live engine is
     attached as ``result.engine`` for inspection.
 

@@ -23,13 +23,13 @@ one ``_Entry`` object, one arrival heap event and one hop loop per request:
 Per-request mutable state lives in flat rid-indexed arrays (issue time,
 primary target, replica tuple, done/alive bytemaps) with the rare fields
 (duplicate counts, retry attempts, tried sets) in sparse dicts, replacing
-the scalar tier's per-request ``_Entry`` + ``_outstanding`` dict.  Client
-and server objects, selectors, accelerators and the fault driver are reused
-unchanged from the scalar engine, which remains the line-for-line oracle:
+the scalar tier's per-request ``_Entry`` + ``_outstanding`` dict.  The
+servers (``KVServer``), NetRS selectors, accelerators and the fault driver
+are the scalar engine's own, and so is every send path: responses reach
+this engine's flat-array client endpoint through the ``_on_response``
+callback set once at construction.  The scalar engine remains the oracle:
 the byte-identity suites in ``tests/mesoscale/test_vector.py`` hold every
-sample and counter of this path equal to the scalar tier's, and the CON001
-contracts in ``repro.mesoscale.contracts`` pin the endpoint mirrors
-statically.
+sample and counter of this path equal to the scalar tier's.
 
 Fault schedules with *link* events force every send back through the
 scalar guarded path (per-hop dead/degrade checks at transmit time), so the
@@ -46,13 +46,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.mesoscale.flow import (
-    _BACKOFF_CAP,
-    _FLUSH_EVERY,
-    FlowEngine,
-    _FlowServer,
-    _StableMean,
-)
+from repro.kvstore.fluctuation import StableService
+from repro.kvstore.server import KVServer
+from repro.mesoscale.flow import _BACKOFF_CAP, _FLUSH_EVERY, FlowEngine
 from repro.selection.c3 import C3Selector
 
 _INF = float("inf")
@@ -93,121 +89,38 @@ def hop_class_batch(
     return out
 
 
-class _VFlowServer(_FlowServer):
-    """Fast-mode twin of ``_FlowServer`` (same arithmetic, fewer layers).
+class _VFlowServer(KVServer):
+    """A :class:`KVServer` carrying the fast drain's per-server caches.
 
     Swapped in (state-copied) only when the engine runs unguarded clirs
-    with plain C3 selectors: ``_begin`` pushes the completion straight onto
-    the micro-heap and ``_complete`` delivers the response through a
-    memoized per-(server, client) hop plan -- the identical chained float
-    additions ``_send_along`` performs -- handing ``(queue_size,
-    service_rate)`` to the engine's inlined feedback handler instead of
-    allocating a ``ServerStatus`` per completion.  ``fail``/``recover``
-    and the queue/EWMA arithmetic are inherited/copied line for line, so
-    server-fault schedules behave identically.
+    with plain C3 selectors.  The fast drain serves these servers' jobs
+    inline with the same arithmetic as ``handle_arrival``,
+    ``_begin_service`` and ``_complete``, delivering each response through
+    a memoized per-(server, client) hop plan -- the identical chained float
+    additions ``_send_along`` performs.  Everything else (crashes, jobs
+    sent by retries) runs the inherited methods unchanged.
     """
 
-    __slots__ = ("_resp_plan", "_complete_cb", "_fastdraw", "_mean_const")
+    __slots__ = ("_resp_plan", "_fastdraw", "_mean_const")
 
-    def __init__(self, base: _FlowServer) -> None:
-        for name in _FlowServer.__slots__:
+    def __init__(self, base: KVServer) -> None:
+        for name in KVServer.__slots__:
             setattr(self, name, getattr(base, name))
         # client name -> (hop delays, hop count, bytes, overhead bytes)
         self._resp_plan: Dict[str, tuple] = {}
-        self._complete_cb = self._complete  # bound once, pushed per service
         # Stable-service means never change; folding the constant out lets
         # the drain loop skip the mean_at call (fluctuating servers keep a
-        # None here and take the tick-pointer path).
-        mean_model = self._mean
+        # None here and read the model's current interval).
+        model = self.service_model
         self._mean_const = (
-            mean_model._mean if type(mean_model) is _StableMean else None
+            model.mean_service_time if type(model) is StableService else None
         )
         # Service draws are the stream's only family, so the family lock the
-        # first scalar draw would take is taken up front and _begin reads the
-        # pre-drawn block directly (same values, same refill points).
+        # first scalar draw would take is taken up front and the drain reads
+        # the pre-drawn block directly (same values, same refill points).
         self._fastdraw = self._draws.block_size > 0
         if self._fastdraw:
             self._draws._lock("exponential")
-
-    def handle_arrival(self, client, rid: int, rv) -> None:
-        if self.down:
-            self.dropped_requests += 1
-            return
-        self.arrivals += 1
-        queued = len(self._waiting) + self._in_service
-        if queued + 1 > self.max_queue_seen:
-            self.max_queue_seen = queued + 1
-        if self._in_service < self.parallelism:
-            self._begin(client, rid, rv)
-        else:
-            self._waiting.append((client, rid, rv))
-
-    def _begin(self, client, rid: int, rv) -> None:
-        engine = self.engine
-        self._in_service += 1
-        mean = self._mean.mean_at(engine._now)
-        if self._fastdraw:
-            draws = self._draws
-            pos = draws._pos
-            block = draws._block
-            if pos >= len(block):
-                draws._refill()
-                block = draws._block
-                pos = 0
-            draws._pos = pos + 1
-            # exponential(mean) is mean * standard_exponential(); IEEE
-            # multiplication commutes bitwise, so this is the scalar value.
-            duration = block[pos] * mean * engine.service_time_scale
-        else:
-            duration = self._draws.exponential(mean)
-            duration *= engine.service_time_scale
-        engine._seq += 1
-        heappush(
-            engine._heap,
-            (
-                engine._now + duration,
-                engine._seq,
-                self._complete_cb,
-                (client, rid, rv, duration, self._epoch),
-            ),
-        )
-
-    def _complete(self, client, rid, rv, duration, epoch) -> None:
-        if epoch != self._epoch:
-            return  # scheduled before a crash: died with the server
-        engine = self.engine
-        self._in_service -= 1
-        self.completions += 1
-        alpha = self._alpha
-        self._ewma_service_time = (
-            alpha * self._ewma_service_time + (1 - alpha) * duration
-        )
-        queue_size = len(self._waiting) + self._in_service
-        service_rate = self.parallelism / self._ewma_service_time
-        plan = self._resp_plan.get(client.name)
-        if plan is None:
-            plan = engine._response_plan(self.name, client.name)
-            self._resp_plan[client.name] = plan
-        hops, count, nbytes, noverhead = plan
-        t = engine._now
-        for delay in hops:
-            t += delay
-        engine.transmissions += count
-        engine.bytes_transferred += nbytes
-        engine.netrs_overhead_bytes += noverhead
-        engine._seq += 1
-        # Flat event shape (no inner args tuple): the fast drain's response
-        # branch consumes ``_fast_response_cb`` events by position.  Heap
-        # ordering never compares past the unique seq, so flat and
-        # ``(t, seq, cb, args)`` events coexist safely.
-        heappush(
-            engine._heap,
-            (t, engine._seq, engine._fast_response_cb,
-             client, rid, self.name, queue_size, service_rate),
-        )
-        if self._waiting:
-            next_client, next_rid, next_rv = self._waiting.popleft()
-            self._begin(next_client, next_rid, next_rv)
 
 
 class VectorFlowEngine(FlowEngine):
@@ -225,15 +138,14 @@ class VectorFlowEngine(FlowEngine):
         self,
         config,
         *,
-        env=None,
         service_time_scale: float = 1.0,
         vector_batch: Optional[int] = None,
     ) -> None:
-        super().__init__(config, env=env, service_time_scale=service_time_scale)
+        super().__init__(config, service_time_scale=service_time_scale)
+        self._on_response = self._v_handle_response
         if vector_batch is None:
             vector_batch = config.vector_batch
         self._chunk = max(1, vector_batch)
-        self._is_netrs = bool(config.netrs)
         self._rate_inv = 1.0 / self._rate
         self._timeout = config.request_timeout
         self._redundancy = self.clients[0].redundancy if self.clients else None
@@ -561,9 +473,11 @@ class VectorFlowEngine(FlowEngine):
         loads.  The standalone methods (``_issue_next``, ``_v_deliver``,
         ``_v_complete``, ``_v_fast_response``, ``_v_fire_redundant``,
         ``_v_on_timeout``) remain the readable line-for-line mirrors of
-        these branches and still execute every event that reaches the heap
-        through a scalar-path send (retries, redundant duplicates under
-        faults), which falls through to the generic dispatch below.
+        these branches.  Events that reach the heap through a scalar-path
+        send (retries) carry the shared endpoints' own callbacks
+        (``KVServer.handle_arrival``, ``KVServer._complete``,
+        ``_v_handle_response``) and fall through to the generic dispatch
+        below.
 
         Four bookkeeping devices keep the loop allocation-free without
         changing observable state:
@@ -622,7 +536,6 @@ class VectorFlowEngine(FlowEngine):
         weight = self._sel_weight
         exponent = self._sel_exponent
         t_alpha = self._sel_alpha
-        sts = self.service_time_scale
         policy = self._redundancy
         has_red = policy is not None
         red_min = self._red_min if has_red else 0
@@ -803,7 +716,7 @@ class VectorFlowEngine(FlowEngine):
             heappop(heap)
             cb = head[2]
             if cb is deliver_cb:
-                # ---- delivery at the server (mirror: _VFlowServer.handle_arrival)
+                # ---- delivery at the server (mirror: KVServer.handle_arrival)
                 server = head[3]
                 if server.down:
                     server.dropped_requests += 1
@@ -817,10 +730,10 @@ class VectorFlowEngine(FlowEngine):
                     server._in_service += 1
                     mean = server._mean_const
                     if mean is None:
-                        # Fluctuating mean: read the current tick directly,
-                        # fall back to the tick-advancing method at
-                        # boundaries (mirror: _Fluctuation.mean_at).
-                        flux = server._mean
+                        # Fluctuating mean: read the current interval
+                        # directly, fall back to the redrawing method at
+                        # boundaries (mirror: BimodalFluctuation.mean_at).
+                        flux = server.service_model
                         if when < flux._next:
                             mean = flux._current
                         else:
@@ -834,10 +747,9 @@ class VectorFlowEngine(FlowEngine):
                             block = draws._block
                             pos = 0
                         draws._pos = pos + 1
-                        duration = block[pos] * mean * sts
+                        duration = block[pos] * mean
                     else:
                         duration = server._draws.exponential(mean)
-                        duration *= sts
                     seq += 1
                     heappush(
                         heap,
@@ -845,10 +757,10 @@ class VectorFlowEngine(FlowEngine):
                          server, head[4], head[5], duration, server._epoch),
                     )
                 else:
-                    waiting.append((head[4], head[5], None))
+                    waiting.append(((head[4], head[5], None), when))
                 continue
             if cb is complete_cb:
-                # ---- service completion (mirror: _VFlowServer._complete)
+                # ---- service completion (mirror: KVServer._complete)
                 server = head[3]
                 if head[7] != server._epoch:
                     continue  # scheduled before a crash: died with the server
@@ -881,11 +793,11 @@ class VectorFlowEngine(FlowEngine):
                      client, head[5], server.name, queue_size, service_rate),
                 )
                 if waiting:
-                    next_client, next_rid, _next_rv = waiting.popleft()
+                    (next_client, next_rid, _rv), _arrived = waiting.popleft()
                     server._in_service += 1
                     mean = server._mean_const
                     if mean is None:
-                        flux = server._mean
+                        flux = server.service_model
                         if when < flux._next:
                             mean = flux._current
                         else:
@@ -899,10 +811,9 @@ class VectorFlowEngine(FlowEngine):
                             block = draws._block
                             pos = 0
                         draws._pos = pos + 1
-                        duration = block[pos] * mean * sts
+                        duration = block[pos] * mean
                     else:
                         duration = server._draws.exponential(mean)
-                        duration *= sts
                     seq += 1
                     heappush(
                         heap,
@@ -1088,11 +999,11 @@ class VectorFlowEngine(FlowEngine):
 
     def _v_deliver(self, server, client, rid: int) -> None:
         """Dispatch mirror of the fast drain's delivery branch."""
-        server.handle_arrival(client, rid, None)
+        server.handle_arrival((client, rid, None))
 
-    def _v_complete(self, server, client, rid, rv, duration, epoch) -> None:
+    def _v_complete(self, server, client, rid, duration, epoch) -> None:
         """Dispatch mirror of the fast drain's completion branch."""
-        server._complete(client, rid, rv, duration, epoch)
+        server._complete((client, rid, None), duration, epoch)
 
     def _issue_next(self) -> None:
         """Issue the request under the cursor (mirror of _arrival + issue)."""
@@ -1110,7 +1021,7 @@ class VectorFlowEngine(FlowEngine):
             # Backup draw kept for RNG parity, exactly as the scalar client.
             client.selector.select(replicas, now)
             client.requests_sent += 1
-            self._send_via_operator(client, rid, None)
+            self._send_via_operator(client, rid, self._b_rgids[j])
         else:
             # Fast mode never reaches this method (the megaloop's issue
             # branch inlines the C3 scoring loop); here the selector runs
@@ -1136,7 +1047,7 @@ class VectorFlowEngine(FlowEngine):
                         self._b_path[cls][j],
                         self._seq,
                         self._arrival_of[target],
-                        (client, rid, None),
+                        ((client, rid, None),),
                     ),
                 )
         if self._redundancy is not None:
@@ -1217,7 +1128,7 @@ class VectorFlowEngine(FlowEngine):
         if self._is_netrs:
             client.selector.select(self._replicas_of[rid], now)  # fresh backup draw
             client.requests_sent += 1
-            self._send_via_operator(client, rid, None)
+            self._send_via_operator(client, rid, self._rgid_of[rid])
         else:
             replicas = self._replicas_of[rid]
             tried = self._tried.get(rid)
@@ -1235,7 +1146,7 @@ class VectorFlowEngine(FlowEngine):
             client.requests_sent += 1
             self._send_request(client, rid, None, target)
         delay = client.request_timeout * min(2.0**attempts, _BACKOFF_CAP)
-        self._post(delay, self._v_on_timeout, (client, rid))
+        self.post_in(delay, self._v_on_timeout, (client, rid))
 
     def _response_plan(self, server_name: str, client_name: str) -> tuple:
         """Memoizable response-delivery plan for one (server, client) pair.
@@ -1248,7 +1159,7 @@ class VectorFlowEngine(FlowEngine):
         hop_key = self.geometry.hop_count(server_name, client_name)
         plan = self._resp_by_class.get(hop_key)
         if plan is None:
-            hops = self._full_path[hop_key]
+            hops = self._response_path[hop_key]
             size, overhead = self._sizes["response"]
             count = len(hops)
             plan = (hops, count, size * count, overhead * count)
@@ -1258,11 +1169,12 @@ class VectorFlowEngine(FlowEngine):
     def _v_fast_response(
         self, client, rid: int, server: str, queue_size: int, service_rate: float
     ) -> None:
-        """Fast-mode response endpoint: ``_v_handle_response`` with the
-        C3 ``note_response`` EWMA fold inlined (scalar ``ServerStatus``
-        fields arrive as the ``queue_size``/``service_rate`` scalars the
-        ``_VFlowServer`` completion computed -- same expressions, same
-        float operations, no allocation)."""
+        """Dispatch mirror of the fast drain's response branch:
+        ``_v_handle_response`` with the C3 ``note_response`` EWMA fold
+        inlined (scalar ``ServerStatus`` fields arrive as the
+        ``queue_size``/``service_rate`` scalars the drain's completion
+        branch computed -- same expressions, same float operations, no
+        allocation)."""
         client.responses_received += 1
         now = self._now
         alive = self._alive[rid]
@@ -1352,51 +1264,3 @@ class VectorFlowEngine(FlowEngine):
         if not self._dup_sent.get(rid, 0) and not self._attempts.get(rid, 0):
             self._alive[rid] = 0
         self._complete_request()
-
-    # ------------------------------------------------------------------
-    # Engine sends routed to the vector endpoints
-    # ------------------------------------------------------------------
-    def _send_response(self, server, client, rid, rv, status) -> None:
-        if self._is_netrs:
-            self._send_netrs_response(server, client, rid, rv, status)
-            return
-        hops = self._full_path[self.geometry.hop_count(server.name, client.name)]
-        size, overhead = self._sizes["response"]
-        first = last = None
-        if self._guarded:
-            first = (server.name, self.geometry.tor_name(server.name))
-            last = (self.geometry.tor_name(client.name), client.name)
-        self._send_along(
-            hops, first, last, size, overhead,
-            self._v_handle_response, (client, rid, server.name, status),
-        )
-
-    def _select_work(self, op, client, rid, entry):
-        """Accelerator work: entry state read from the rid-indexed arrays."""
-        now = self._now
-        candidates = self.ring.replicas(self._rgid_of[rid])
-        server = op.selector.select(candidates, now)
-        op.selector.note_sent(server, now)
-        op.requests_handled += 1
-        return (op, client, rid, server, now)  # retaining value = now
-
-    def _tor_response(self, client, rid, rv, server_name, status) -> None:
-        """Response reaches the client's ToR: clone to the RSNode, forward."""
-        op = self._operator_of[client.name]
-        op.accelerator.submit_at(
-            self._now, self._absorb_response, (op, rv, server_name, status), None
-        )
-        link = (self.geometry.tor_name(client.name), client.name)
-        lat = self._host_lat
-        if self._guarded:
-            if link in self._dead_links:
-                self.packets_dropped += 1
-                return
-            factor = self._degraded.get(link)
-            if factor is not None:
-                lat *= factor
-        size, overhead = self._sizes["netrs_response_marked"]
-        self._account(1, size, overhead)
-        self._post_at(
-            lat + self._now, self._v_handle_response, (client, rid, server_name, status)
-        )

@@ -6,7 +6,8 @@ processing per packet, and a 2.5 us round-trip to the co-located switch
 (numbers measured by IncBricks).  We model it as a FIFO queue drained by
 ``cores`` servers with deterministic service time; the work itself (replica
 selection or state update) is an injected callable so the accelerator stays
-agnostic of NetRS logic.
+agnostic of NetRS logic.  ``env`` needs only ``now``, ``post_in`` and
+``post_at``, so the flow tier runs the same class on its micro-heap.
 
 Utilization accounting feeds two consumers: the placement problem's capacity
 constraint (``T_max = U * cores / service_time``) and the controller's
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
-
-from repro.sim.core import Environment
 
 #: Work applied to a packet at service completion; returns the (possibly
 #: rebuilt) packet, or ``None`` to absorb it.
@@ -32,7 +31,7 @@ class Accelerator:
 
     def __init__(
         self,
-        env: Environment,
+        env,
         name: str,
         *,
         cores: int = 1,
@@ -86,6 +85,14 @@ class Accelerator:
     def submit(self, packet: Any, work: Work, done: Done = None) -> None:
         """Called by the co-located switch: ship the packet over the link."""
         self.env.post_in(self.link_delay, self._enqueue, (packet, work, done))
+
+    def submit_at(self, when: float, packet: Any, work: Work, done: Done = None) -> None:
+        """Ship a packet that reaches the switch at ``when`` (>= now).
+
+        The flow tier hands over requests still crossing the host link, so
+        the switch arrival is a time rather than an event.
+        """
+        self.env.post_at(when + self.link_delay, self._enqueue, (packet, work, done))
 
     def _enqueue(self, packet: Any, work: Work, done: Done) -> None:
         if self._busy < self.cores:

@@ -302,7 +302,7 @@ def test_default_registry_aggregates_all_declaration_modules():
         + len(registry.digests)
     )
     names = {pair.name for pair in registry.mirror_pairs}
-    assert "server.complete" in names  # repro.mesoscale.contracts
+    assert "client.fire_redundant" in names  # repro.mesoscale.contracts
     anchors = {anchor.name for anchor in registry.expr_anchors}
     assert "c3-cubic-score" in anchors  # repro.sim.contracts
 

@@ -21,6 +21,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 _VECTOR = "src/repro/mesoscale/vector.py"
 _FLOW = "src/repro/mesoscale/flow.py"
+_CLIENT = "src/repro/kvstore/client.py"
 _C3 = "src/repro/selection/c3.py"
 
 
@@ -56,12 +57,12 @@ def _inject(tmp_path, rel, old, new):
     "name,files,rel,old,new,rule",
     [
         (
-            # Counter drift in the vector server endpoint.
-            "vector.server.arrival",
-            (_FLOW, _VECTOR),
-            _VECTOR,
-            "self.arrivals += 1",
-            "self.arrivals += 2",
+            # Counter drift in the flow tier's client endpoint.
+            "client.fire_redundant",
+            (_CLIENT, _FLOW),
+            _FLOW,
+            "self.redundant_sent += 1",
+            "self.redundant_sent += 2",
             "CON001",
         ),
     ],
