@@ -12,6 +12,20 @@ The optional :class:`RedundancyPolicy` reproduces CliRS-R95 (section V-A): if
 a primary request is outstanding longer than the client's 95th-percentile
 expected latency, a redundant copy goes to a different replica and the first
 response wins.
+
+The client is one core for both simulation tiers, split from its transport
+the way :class:`~repro.kvstore.server.KVServer` is.  ``env`` is anything
+with ``now`` and ``call_in`` (the packet tier's
+:class:`~repro.sim.core.Environment`, or the flow tier's micro-heap engine,
+whose ``call_in`` returns no handle, so its timers fire as no-ops instead of
+being cancelled).  Every read-path request leaves through one ``send``
+callable, ``send(client, request_id, entry, target, redundant)``; on the
+packet tier that is :meth:`KVClient._send_packet`, which builds the request
+and puts it on the host's wire.  :meth:`KVClient.handle_response` folds a
+read response from its request ID, server name and piggybacked status
+alone; :meth:`KVClient.handle_packet` adds the packet-only paths (version
+digests, write acknowledgements, quorum reads, the trace sink).  Writes,
+quorum reads and read-repair are packet-tier only.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.errors import ConfigurationError
 from repro.kvstore.hashing import ConsistentHashRing
 from repro.network.host import Host
-from repro.network.packet import Packet, make_request
+from repro.network.packet import Packet, ServerStatus, make_request
 from repro.selection.base import ReplicaSelector
 from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
@@ -35,6 +49,11 @@ from repro.sim.rng import DrawSource
 #: before timing out again.  Fixed rather than configurable -- the cap only
 #: bounds pathological schedules, it is not a tuning knob (docs/FAULTS.md).
 _BACKOFF_CAP = 8.0
+
+#: ``send(client, request_id, entry, target, redundant)``: put one read
+#: request on the wire.  ``target`` is the chosen replica, or the backup
+#: replica of a NetRS request; ``redundant`` marks an R95 duplicate.
+Send = Callable[["KVClient", int, "_Outstanding", str, bool], None]
 
 
 @dataclass(slots=True)
@@ -56,7 +75,7 @@ class _QuorumState:
     """Per-read quorum bookkeeping; allocated only when ``read_quorum > 1``.
 
     Kept out of :class:`_Outstanding` so the single-replica read path (the
-    default, and the only path the flow tier mirrors) allocates nothing new.
+    default, and the only path the flow tier runs) allocates nothing new.
     ``versions`` collects ``(server, (version_ts, version_id))`` in arrival
     order -- deterministic, since packet deliveries are.
     """
@@ -93,7 +112,7 @@ class _Outstanding:
     # Timeout/retry state (read path only; see docs/FAULTS.md).
     attempts: int = 0
     timeout_timer: object = None
-    tried: Tuple[str, ...] = ()
+    tried: Tuple[str, ...] = ()  # every replica tried; () until the first retry
     late_seen: int = 0
 
 
@@ -162,12 +181,13 @@ class KVClient:
         "quorum_degraded_reads",
         "digest_probes_sent",
         "_ids",
+        "_send",
     )
 
     def __init__(
         self,
         env: Environment,
-        host: Host,
+        host: Optional[Host],
         *,
         ring: ConsistentHashRing,
         selector: ReplicaSelector,
@@ -182,7 +202,11 @@ class KVClient:
         request_timeout: Optional[float] = None,
         max_retries: int = 0,
         request_ids: Optional[Iterator[int]] = None,
+        name: Optional[str] = None,
+        send: Optional[Send] = None,
     ) -> None:
+        """``host`` is the packet tier's NIC; hostless clients (the flow
+        tier) pass ``name`` and the ``send`` that delivers their requests."""
         if redundancy is not None and netrs:
             raise ConfigurationError(
                 "redundant requests are a client-side scheme (CliRS-R95); "
@@ -194,7 +218,8 @@ class KVClient:
             raise ConfigurationError("max_retries must be >= 0")
         self.env = env
         self.host = host
-        self.name = host.name
+        self.name = host.name if host is not None else name
+        self._send: Send = send if send is not None else KVClient._send_packet
         self.ring = ring
         self.selector = selector
         self.recorder = recorder
@@ -249,7 +274,8 @@ class KVClient:
         # IDs stay unique (LWW tie-break) and, since they key ECMP, a run's
         # paths never depend on what ran earlier in the process.
         self._ids = request_ids if request_ids is not None else itertools.count(1)
-        host.bind(self)
+        if host is not None:
+            host.bind(self)
 
     # ------------------------------------------------------------------
     # Issuing
@@ -259,47 +285,19 @@ class KVClient:
         rgid, replicas = self.ring.group_for_key(key)
         request_id = next(self._ids)
         now = self.env.now
+        target = self.selector.select(replicas, now)
         if self.netrs:
             # The client only supplies the backup replica; the in-network
             # RSNode makes the real choice.
-            backup = self.selector.select(replicas, now)
-            packet = make_request(
-                client=self.name,
-                request_id=request_id,
-                key=key,
-                rgid=rgid,
-                backup_replica=backup,
-                issued_at=now,
-                netrs=True,
-            )
             primary_target = ""
         else:
-            target = self.selector.select(replicas, now)
             self.selector.note_sent(target, now)
-            packet = make_request(
-                client=self.name,
-                request_id=request_id,
-                key=key,
-                rgid=rgid,
-                backup_replica=target,
-                issued_at=now,
-                netrs=False,
-                dst=target,
-            )
             primary_target = target
-        entry = _Outstanding(
-            key=key,
-            rgid=rgid,
-            replicas=replicas,
-            issued_at=now,
-            record=record,
-            primary_target=primary_target,
-        )
-        if primary_target:
-            entry.tried = (primary_target,)
+        # Positional: the read path builds one entry per request.
+        entry = _Outstanding(key, rgid, replicas, now, record, primary_target)
         self._outstanding[request_id] = entry
         self.requests_sent += 1
-        self.host.send(packet)
+        self._send(self, request_id, entry, target, False)
         if self.redundancy is not None:
             delay = self._redundancy_threshold()
             entry.timer = self.env.call_in(
@@ -459,20 +457,37 @@ class KVClient:
         else:
             target = others[0]
         self.selector.note_sent(target, self.env.now)
-        duplicate = make_request(
-            client=self.name,
-            request_id=request_id,
-            key=entry.key,
-            rgid=entry.rgid,
-            backup_replica=target,
-            issued_at=entry.issued_at,
-            netrs=False,
-            dst=target,
-        )
-        duplicate.is_redundant = True
         entry.duplicates_sent += 1
         self.redundant_sent += 1
-        self.host.send(duplicate)
+        self._send(self, request_id, entry, target, True)
+
+    def _send_packet(
+        self, request_id: int, entry: _Outstanding, target: str, redundant: bool
+    ) -> None:
+        """The packet tier's ``send``: build the read request, hand it to the host."""
+        if self.netrs:
+            packet = make_request(
+                client=self.name,
+                request_id=request_id,
+                key=entry.key,
+                rgid=entry.rgid,
+                backup_replica=target,
+                issued_at=entry.issued_at,
+                netrs=True,
+            )
+        else:
+            packet = make_request(
+                client=self.name,
+                request_id=request_id,
+                key=entry.key,
+                rgid=entry.rgid,
+                backup_replica=target,
+                issued_at=entry.issued_at,
+                netrs=False,
+                dst=target,
+            )
+            packet.is_redundant = redundant
+        self.host.send(packet)
 
     # ------------------------------------------------------------------
     # Quorum reads & read-repair (see docs/CONSISTENCY.md)
@@ -698,41 +713,23 @@ class KVClient:
             # Re-enter the NetRS path with a fresh backup choice; the
             # in-network RSNode re-selects (it may know the primary is slow
             # by now -- exactly the aggregated-feedback advantage).
-            backup = self.selector.select(entry.replicas, now)
-            packet = make_request(
-                client=self.name,
-                request_id=request_id,
-                key=entry.key,
-                rgid=entry.rgid,
-                backup_replica=backup,
-                issued_at=entry.issued_at,
-                netrs=True,
-            )
+            target = self.selector.select(entry.replicas, now)
         else:
             # Prefer replicas not yet tried (RepNet-style retry discipline:
             # a timed-out server is the worst candidate for the retry); once
             # every replica has been tried, select over the full set again.
-            untried = tuple(r for r in entry.replicas if r not in entry.tried)
+            tried = entry.tried or (entry.primary_target,)
+            untried = tuple(r for r in entry.replicas if r not in tried)
             candidates = untried or entry.replicas
             if len(candidates) > 1:
                 target = self.selector.select(candidates, now)
             else:
                 target = candidates[0]
-            entry.tried = entry.tried + (target,)
+            entry.tried = tried + (target,)
             entry.primary_target = target
             self.selector.note_sent(target, now)
-            packet = make_request(
-                client=self.name,
-                request_id=request_id,
-                key=entry.key,
-                rgid=entry.rgid,
-                backup_replica=target,
-                issued_at=entry.issued_at,
-                netrs=False,
-                dst=target,
-            )
         self.requests_sent += 1
-        self.host.send(packet)
+        self._send(self, request_id, entry, target, False)
         assert self.request_timeout is not None
         delay = self.request_timeout * min(2.0 ** entry.attempts, _BACKOFF_CAP)
         entry.timeout_timer = self.env.call_in(delay, self._on_timeout, request_id)
@@ -741,23 +738,50 @@ class KVClient:
     # Responses
     # ------------------------------------------------------------------
     def handle_packet(self, packet: Packet) -> None:
-        """Endpoint callback: fold a response into state and metrics."""
-        self.responses_received += 1
-        now = self.env.now
-        status = packet.server_status
+        """Endpoint callback: the packet-only paths, then :meth:`handle_response`."""
         entry = self._outstanding.get(packet.request_id)
         if packet.is_digest:
+            self.responses_received += 1
             self._absorb_digest(packet, entry)
             return
+        if entry is not None and (
+            entry.is_write or (entry.quorum is not None and not entry.done)
+        ):
+            # Write acks and quorum reads fold the packet's LWW version.
+            self.responses_received += 1
+            status = packet.server_status
+            if status is not None:
+                now = self.env.now
+                self.selector.note_response(
+                    packet.server, now - entry.issued_at, status, now
+                )
+            if entry.is_write:
+                self._handle_write_ack(packet, entry)
+            else:
+                self._absorb_quorum_data(packet, entry)
+            return
+        if self.trace_sink is not None and entry is not None and not entry.done:
+            # This response completes the read.
+            self.trace_sink.record_completion(
+                packet,
+                issued_at=entry.issued_at,
+                completed_at=self.env.now,
+                recorded=entry.record,
+                rgid=entry.rgid,
+            )
+        self.handle_response(packet.request_id, packet.server, packet.server_status)
+
+    def handle_response(
+        self, request_id: int, server: str, status: Optional[ServerStatus]
+    ) -> None:
+        """Fold one read response into selector feedback, state and metrics."""
+        self.responses_received += 1
+        now = self.env.now
+        entry = self._outstanding.get(request_id)
         # Feedback always updates the local selector: in CliRS this is the
         # decision input, in NetRS it keeps the backup choice fresh.
         if status is not None and entry is not None:
-            self.selector.note_response(
-                packet.server, now - entry.issued_at, status, now
-            )
-        if entry is not None and entry.is_write:
-            self._handle_write_ack(packet, entry)
-            return
+            self.selector.note_response(server, now - entry.issued_at, status, now)
         if entry is None or entry.done:
             self.late_responses += 1
             if entry is not None:
@@ -772,23 +796,12 @@ class KVClient:
                     # All possible extra responses are in; drop the entry.
                     # (Copies swallowed by a dead server or link never
                     # arrive, so their entries are kept until run end.)
-                    self._outstanding.pop(packet.request_id, None)
-            return
-        if entry.quorum is not None:
-            self._absorb_quorum_data(packet, entry)
+                    self._outstanding.pop(request_id, None)
             return
         entry.done = True
         latency = now - entry.issued_at
         self._history.add(latency)
         self._samples_since_refresh += 1
-        if self.trace_sink is not None:
-            self.trace_sink.record_completion(
-                packet,
-                issued_at=entry.issued_at,
-                completed_at=now,
-                recorded=entry.record,
-                rgid=entry.rgid,
-            )
         if entry.record:
             self.recorder.add(latency)
         if entry.timer is not None:
@@ -798,7 +811,7 @@ class KVClient:
         # Keep duplicates findable until their responses arrive, but free
         # completed singletons immediately to bound memory.
         if entry.duplicates_sent == 0 and entry.attempts == 0:
-            del self._outstanding[packet.request_id]
+            del self._outstanding[request_id]
         if self.on_complete is not None:
             self.on_complete(self)
         if self.tracker is not None:

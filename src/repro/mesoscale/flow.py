@@ -8,18 +8,21 @@ per-hop constants.  The flow tier exploits that: it replaces packet
 forwarding with closed-form path delays and runs request/completion
 micro-events on a lean internal heap instead of the generic engine schedule.
 
-The endpoints are the packet tier's own classes wherever the logic does not
-touch a packet.  Servers are :class:`~repro.kvstore.server.KVServer` with
-the same :class:`~repro.kvstore.fluctuation.BimodalFluctuation` /
-``StableService`` models, and each NetRS RSNode is a
+Every endpoint is the packet tier's own class, written once for both
+tiers.  Clients are :class:`~repro.kvstore.client.KVClient` driven by an
+:class:`~repro.kvstore.workload.OpenLoopWorkload`; servers are
+:class:`~repro.kvstore.server.KVServer` with the same
+:class:`~repro.kvstore.fluctuation.BimodalFluctuation` / ``StableService``
+models; each NetRS RSNode is a
 :class:`~repro.core.selector_node.NetRSSelector` on an
 :class:`~repro.network.accelerator.Accelerator`.  They take this engine as
-their ``env``: it offers ``now``, ``post_in`` and ``post_at`` on the
-micro-heap.  A server's jobs are ``(client, request_id, retaining_value)``
-tuples and its reply is :meth:`FlowEngine._send_response`.  The client
-endpoint (``_FlowClient``) and the arrival loop are still mirrors of
-``KVClient`` and ``OpenLoopWorkload``, pinned by the CON001 contracts in
-:mod:`repro.mesoscale.contracts`.
+their ``env``: it offers ``now``, ``call_in``, ``post_in`` and ``post_at``
+on the micro-heap.  Only the transport is the flow tier's own.  A client's
+``send`` is :meth:`FlowEngine._send_request` (CliRS) or
+:meth:`FlowEngine._send_via_operator` (NetRS), a server's jobs are
+``(client, request_id, retaining_value)`` tuples, its reply is
+:meth:`FlowEngine._send_response`, and responses land on
+:meth:`~repro.kvstore.client.KVClient.handle_response`.
 
 The :class:`~repro.sim.core.Environment` is still the macro clock: fault
 transitions and periodic completion-batch heartbeats run on it, so
@@ -53,11 +56,11 @@ from repro.faults.events import (
     ServerUp,
 )
 from repro.faults.schedule import parse_fault_schedule
-from repro.kvstore.client import CompletionTracker, RedundancyPolicy
+from repro.kvstore.client import CompletionTracker, KVClient, RedundancyPolicy
 from repro.kvstore.fluctuation import BimodalFluctuation, StableService
 from repro.kvstore.hashing import shared_ring
 from repro.kvstore.server import KVServer
-from repro.kvstore.workload import DemandWeights, ZipfSampler
+from repro.kvstore.workload import DemandWeights, OpenLoopWorkload, ZipfSampler
 from repro.mesoscale.geometry import FatTreeGeometry
 from repro.mesoscale.support import ensure_flow_supported
 from repro.network.accelerator import Accelerator
@@ -76,10 +79,6 @@ from repro.sim.core import Environment
 from repro.sim.probes import LatencyRecorder
 from repro.sim.rng import RngRegistry
 
-#: Retry-backoff cap, kept equal to ``repro.kvstore.client._BACKOFF_CAP`` so
-#: both tiers retransmit on identical schedules (docs/FAULTS.md).
-_BACKOFF_CAP = 8.0
-
 #: Completions between environment heartbeats (the flow tier's only steady
 #: engine events): keeps ``env.now`` tracking the flow clock at negligible
 #: event cost.
@@ -88,223 +87,28 @@ _FLUSH_EVERY = 4096
 _MicroFn = Callable[..., None]
 
 
-class _Entry:
-    """Flow-tier mirror of ``repro.kvstore.client._Outstanding`` (read path)."""
+class _FlowTracker(CompletionTracker):
+    """The clients' completion tracker, which also paces the macro clock.
 
-    __slots__ = (
-        "key",
-        "rgid",
-        "replicas",
-        "issued_at",
-        "record",
-        "primary_target",
-        "done",
-        "duplicates_sent",
-        "attempts",
-        "tried",
-        "late_seen",
-    )
+    Every ``_FLUSH_EVERY`` completions it runs one heartbeat on the
+    environment, so ``env.now`` keeps up with the micro-heap.
+    """
 
-    def __init__(self, key, rgid, replicas, issued_at, record, primary_target):
-        self.key = key
-        self.rgid = rgid
-        self.replicas = replicas
-        self.issued_at = issued_at
-        self.record = record
-        self.primary_target = primary_target
-        self.done = False
-        self.duplicates_sent = 0
-        self.attempts = 0
-        self.tried: Tuple[str, ...] = ()
-        self.late_seen = 0
+    __slots__ = ("_engine",)
 
+    def __init__(self, engine: "FlowEngine", expected: int) -> None:
+        super().__init__(expected)
+        self._engine = engine
 
-class _FlowClient:
-    """Flow-tier mirror of ``KVClient`` (read path, timers as micro-events)."""
-
-    __slots__ = (
-        "engine",
-        "name",
-        "ring",
-        "selector",
-        "recorder",
-        "netrs",
-        "redundancy",
-        "_draws",
-        "_outstanding",
-        "_history",
-        "_cached_threshold",
-        "_samples_since_refresh",
-        "request_timeout",
-        "max_retries",
-        "requests_sent",
-        "redundant_sent",
-        "responses_received",
-        "late_responses",
-        "timeouts",
-        "retries",
-        "requests_lost",
-        "duplicates_suppressed",
-    )
-
-    def __init__(
-        self,
-        engine,
-        name,
-        *,
-        ring,
-        selector,
-        recorder,
-        netrs,
-        redundancy,
-        draws,
-        request_timeout,
-        max_retries,
-    ):
-        self.engine = engine
-        self.name = name
-        self.ring = ring
-        self.selector = selector
-        self.recorder = recorder
-        self.netrs = netrs
-        self.redundancy = redundancy
-        self._draws = draws
-        self._outstanding: Dict[int, _Entry] = {}
-        self._history = LatencyRecorder()
-        self._cached_threshold: Optional[float] = None
-        self._samples_since_refresh = 0
-        self.request_timeout = request_timeout
-        self.max_retries = max_retries
-        self.requests_sent = 0
-        self.redundant_sent = 0
-        self.responses_received = 0
-        self.late_responses = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.requests_lost = 0
-        self.duplicates_suppressed = 0
-
-    # -- issuing -------------------------------------------------------
-    def issue(self, key: int, record: bool = True) -> int:
-        engine = self.engine
-        rgid, replicas = self.ring.group_for_key(key)
-        request_id = next(engine._ids)
-        now = engine.now
-        if self.netrs:
-            # Backup draw kept for RNG parity with the packet tier even
-            # though the flow tier never degrades to the backup.
-            self.selector.select(replicas, now)
-            primary_target = ""
-        else:
-            target = self.selector.select(replicas, now)
-            self.selector.note_sent(target, now)
-            primary_target = target
-        entry = _Entry(key, rgid, replicas, now, record, primary_target)
-        if primary_target:
-            entry.tried = (primary_target,)
-        self._outstanding[request_id] = entry
-        self.requests_sent += 1
-        if self.netrs:
-            engine._send_via_operator(self, request_id, entry.rgid)
-        else:
-            engine._send_request(self, request_id, entry, primary_target)
-        if self.redundancy is not None:
-            engine.post_in(
-                self._redundancy_threshold(), self._fire_redundant, (request_id,)
-            )
-        if self.request_timeout is not None:
-            engine.post_in(self.request_timeout, self._on_timeout, (request_id,))
-        return request_id
-
-    def _redundancy_threshold(self) -> float:
-        policy = self.redundancy
-        if len(self._history) >= policy.min_samples:
-            if self._cached_threshold is None or self._samples_since_refresh >= 25:
-                self._cached_threshold = self._history.percentile(policy.percentile)
-                self._samples_since_refresh = 0
-            return self._cached_threshold
-        mean = self._history.mean()
-        if mean != mean:  # NaN: no history yet
-            return policy.fallback_multiplier * 10e-3
-        return policy.fallback_multiplier * mean
-
-    def _fire_redundant(self, request_id: int) -> None:
-        entry = self._outstanding.get(request_id)
-        if entry is None or entry.done:
-            return
-        others = [r for r in entry.replicas if r != entry.primary_target]
-        if not others:
-            return
-        if self._draws is not None and len(others) > 1:
-            target = others[int(self._draws.integers(len(others)))]
-        else:
-            target = others[0]
-        self.selector.note_sent(target, self.engine.now)
-        entry.duplicates_sent += 1
-        self.redundant_sent += 1
-        self.engine._send_request(self, request_id, entry, target)
-
-    # -- timeouts & retries -------------------------------------------
-    def _on_timeout(self, request_id: int) -> None:
-        entry = self._outstanding.get(request_id)
-        if entry is None or entry.done:
-            return
-        engine = self.engine
-        self.timeouts += 1
-        if entry.attempts >= self.max_retries:
-            entry.done = True
-            self.requests_lost += 1
-            del self._outstanding[request_id]
-            engine._complete_request()
-            return
-        entry.attempts += 1
-        self.retries += 1
-        now = engine.now
-        if self.netrs:
-            self.selector.select(entry.replicas, now)  # fresh backup draw
-            self.requests_sent += 1
-            engine._send_via_operator(self, request_id, entry.rgid)
-        else:
-            untried = tuple(r for r in entry.replicas if r not in entry.tried)
-            candidates = untried or entry.replicas
-            if len(candidates) > 1:
-                target = self.selector.select(candidates, now)
-            else:
-                target = candidates[0]
-            entry.tried = entry.tried + (target,)
-            entry.primary_target = target
-            self.selector.note_sent(target, now)
-            self.requests_sent += 1
-            engine._send_request(self, request_id, entry, target)
-        delay = self.request_timeout * min(2.0**entry.attempts, _BACKOFF_CAP)
-        engine.post_in(delay, self._on_timeout, (request_id,))
-
-    # -- responses -----------------------------------------------------
-    def handle_response(self, request_id: int, server: str, status: ServerStatus) -> None:
-        engine = self.engine
-        self.responses_received += 1
-        now = engine.now
-        entry = self._outstanding.get(request_id)
-        if entry is not None:
-            self.selector.note_response(server, now - entry.issued_at, status, now)
-        if entry is None or entry.done:
-            self.late_responses += 1
-            if entry is not None:
-                if entry.attempts:
-                    self.duplicates_suppressed += 1
-                entry.late_seen += 1
-                if entry.late_seen >= entry.duplicates_sent + entry.attempts:
-                    self._outstanding.pop(request_id, None)
-            return
-        entry.done = True
-        latency = now - entry.issued_at
-        self._history.add(latency)
-        self._samples_since_refresh += 1
-        if entry.record:
-            self.recorder.add(latency)
-        if entry.duplicates_sent == 0 and entry.attempts == 0:
-            del self._outstanding[request_id]
-        engine._complete_request()
+    def complete(self) -> None:
+        super().complete()
+        engine = self._engine
+        engine._since_flush += 1
+        if engine._since_flush >= _FLUSH_EVERY:
+            engine._since_flush = 0
+            env = engine.env
+            env.post_at(engine.now, engine._heartbeat)
+            env.run(until=engine.now)
 
 
 class _FaultDriver:
@@ -444,7 +248,7 @@ class FlowEngine:
             service_batch = client_batch = 0
 
         # --- clock & micro-event machinery --------------------------------
-        self._now = self.env.now
+        self.now = self.env.now
         self._heap: List[tuple] = []
         self._seq = 0
         self._ids = itertools.count(1)
@@ -503,7 +307,7 @@ class FlowEngine:
                     range_parameter=config.fluctuation_range,
                     interval=config.fluctuation_interval,
                     rng=rng.batched(f"fluctuation.{name}", batch),
-                    origin=self._now,
+                    origin=self.now,
                 )
             else:
                 model = StableService(mean)
@@ -520,7 +324,7 @@ class FlowEngine:
 
         # --- clients -------------------------------------------------------
         self.recorder = LatencyRecorder()
-        self.tracker = CompletionTracker(config.total_requests)
+        self.tracker = _FlowTracker(self, config.total_requests)
         self.tracker.when_done(self._stop)
         redundancy = (
             RedundancyPolicy(
@@ -530,9 +334,8 @@ class FlowEngine:
             if config.redundancy_enabled
             else None
         )
-        # Where responses land: ``fn(client, request_id, server, status)``.
-        self._on_response: _MicroFn = _FlowClient.handle_response
-        self.clients: List[_FlowClient] = []
+        send = self._send_via_operator if config.netrs else self._send_request
+        self.clients: List[KVClient] = []
         for name in self.client_hosts:
             selector = create_selector(
                 config.algorithm,
@@ -541,21 +344,25 @@ class FlowEngine:
                 rng=rng.stream(f"selector.client.{name}"),
             )
             self.clients.append(
-                _FlowClient(
+                KVClient(
                     self,
-                    name,
+                    None,
+                    name=name,
+                    send=send,
                     ring=self.ring,
                     selector=selector,
                     recorder=self.recorder,
+                    tracker=self.tracker,
                     netrs=config.netrs,
                     redundancy=redundancy,
-                    draws=(
+                    rng=(
                         rng.batched(f"redundancy.{name}", client_batch)
                         if redundancy
                         else None
                     ),
                     request_timeout=config.request_timeout,
                     max_retries=config.max_retries,
+                    request_ids=self._ids,
                 )
             )
 
@@ -586,21 +393,29 @@ class FlowEngine:
                 self._operator_of[name] = self.operators[self.geometry.tor_name(name)]
 
         # --- workload ------------------------------------------------------
-        self.weights = DemandWeights(
-            config.n_clients,
-            skew=config.demand_skew,
-            hot_fraction=config.hot_fraction,
-            rng=rng.stream("workload.skew") if config.demand_skew is not None else None,
+        self.workload = OpenLoopWorkload(
+            self,
+            rate=config.arrival_rate(),
+            clients=self.clients,
+            weights=DemandWeights(
+                config.n_clients,
+                skew=config.demand_skew,
+                hot_fraction=config.hot_fraction,
+                rng=(
+                    rng.stream("workload.skew")
+                    if config.demand_skew is not None
+                    else None
+                ),
+            ),
+            key_sampler=ZipfSampler(
+                config.key_space,
+                config.zipf_exponent,
+                rng.batched("workload.keys", batch),
+            ),
+            rng=rng.stream("workload.arrivals"),
+            total_requests=config.total_requests,
+            warmup_requests=config.warmup_requests(),
         )
-        self._sampler = ZipfSampler(
-            config.key_space, config.zipf_exponent, rng.batched("workload.keys", batch)
-        )
-        self._arrival_rng = rng.stream("workload.arrivals")
-        self._rate = config.arrival_rate()
-        self._total = config.total_requests
-        self._warmup = config.warmup_requests()
-        self.issued = 0
-        self.per_client_counts = [0] * config.n_clients
 
         # --- faults --------------------------------------------------------
         self.faults: Optional[_FaultDriver] = None
@@ -612,38 +427,32 @@ class FlowEngine:
     # ------------------------------------------------------------------
     # Clock & scheduling
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
-
     def post_in(self, delay: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
-        heappush(self._heap, (self._now + delay, self._seq, fn, args))
+        heappush(self._heap, (self.now + delay, self._seq, fn, args))
 
     def post_at(self, when: float, fn: _MicroFn, args: tuple = ()) -> None:
         self._seq += 1
         heappush(self._heap, (when, self._seq, fn, args))
 
+    def call_in(self, delay: float, fn: _MicroFn, *args) -> None:
+        """``Environment.call_in`` on the micro-heap, without a handle.
+
+        Micro-timers are never cancelled: a client timer whose request has
+        finished fires as a counted no-op.
+        """
+        self._seq += 1
+        heappush(self._heap, (self.now + delay, self._seq, fn, args))
+
     def _stop(self) -> None:
         self._stopped = True
-
-    def _complete_request(self) -> None:
-        self.tracker.complete()
-        self._since_flush += 1
-        if self._since_flush >= _FLUSH_EVERY:
-            self._since_flush = 0
-            env = self.env
-            env.post_at(self._now, self._heartbeat)
-            env.run(until=self._now)
 
     def _heartbeat(self) -> None:
         self.heartbeats += 1
 
     def run(self, until: Optional[float] = None) -> None:
         """Drive the experiment until completion (or the safety horizon)."""
-        self.post_in(
-            self._arrival_rng.exponential(1.0 / self._rate), self._arrival  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload
-        )
+        self.workload.start()
         heap = self._heap
         env = self.env
         env_times = self._env_times
@@ -651,7 +460,7 @@ class FlowEngine:
             entry = heappop(heap)
             when = entry[0]
             if until is not None and when > until:
-                self._now = until
+                self.now = until
                 break
             if env_times and env_times[0] <= when:
                 # Fault transitions fire on the macro clock, strictly before
@@ -659,7 +468,7 @@ class FlowEngine:
                 # as the packet tier's build-time-scheduled fault events).
                 while env_times and env_times[0] <= when:
                     env.run(until=env_times.pop(0))
-            self._now = when
+            self.now = when
             self.micro_events += 1
             entry[2](*entry[3])
             if heap and heap[0][0] == when:
@@ -686,23 +495,8 @@ class FlowEngine:
                     index += 1
                     self.micro_events += 1
                     micro[2](*micro[3])
-        if self._now > env.now:
-            env.run(until=self._now)
-
-    # ------------------------------------------------------------------
-    # Workload (mirrors OpenLoopWorkload._arrival, read-only path)
-    # ------------------------------------------------------------------
-    def _arrival(self) -> None:
-        index = self.weights.sample(self._arrival_rng)
-        key = self._sampler.sample()
-        record = self.issued >= self._warmup
-        self.per_client_counts[index] += 1
-        self.issued += 1
-        self.clients[index].issue(key, record=record)
-        if self.issued < self._total:
-            self.post_in(
-                self._arrival_rng.exponential(1.0 / self._rate), self._arrival  # repro: noqa(PERF001) - mixed-family arrival stream, mirrors OpenLoopWorkload
-            )
+        if self.now > env.now:
+            env.run(until=self.now)
 
     # ------------------------------------------------------------------
     # Link state (flow-model mapping of fabric faults)
@@ -758,7 +552,7 @@ class FlowEngine:
         link events): the first and last access-link crossings are checked
         against dead/degraded state at their actual transmit times.
         """
-        t = self._now
+        t = self.now
         if not self._guarded:
             for d in hops:
                 t += d
@@ -796,10 +590,13 @@ class FlowEngine:
         if factor is not None:
             lat *= factor
         self._account(1, size, overhead)
-        self.post_at(self._now + lat, fn, args)
+        self.post_at(self.now + lat, fn, args)
 
     # -- CliRS paths ---------------------------------------------------
-    def _send_request(self, client: _FlowClient, rid: int, entry: _Entry, target: str) -> None:
+    def _send_request(
+        self, client: KVClient, rid: int, entry, target: str, redundant: bool
+    ) -> None:
+        """The CliRS clients' ``send``: deliver a request to ``target``."""
         hops = self._full_path[self.geometry.hop_count(client.name, target)]
         size, overhead = self._sizes["request"]
         first = last = None
@@ -825,11 +622,18 @@ class FlowEngine:
             last = (self.geometry.tor_name(client.name), client.name)
         self._send_along(
             hops, first, last, size, overhead,
-            self._on_response, (client, rid, server.name, status),
+            KVClient.handle_response, (client, rid, server.name, status),
         )
 
     # -- NetRS paths (netrs-tor: RSNode at the client's ToR) -----------
-    def _send_via_operator(self, client: _FlowClient, rid: int, rgid: int) -> None:
+    def _send_via_operator(
+        self, client: KVClient, rid: int, entry, backup: str, redundant: bool
+    ) -> None:
+        """The NetRS clients' ``send``: hand a request to the ToR's RSNode.
+
+        The flow tier never degrades to the backup replica, so ``backup``
+        goes unused.
+        """
         selector, accelerator = self._operator_of[client.name]
         link = (client.name, self.geometry.tor_name(client.name))
         lat = self._host_lat_request
@@ -844,8 +648,8 @@ class FlowEngine:
         self._account(1, size, overhead)
         # Host -> ToR, then ToR -> accelerator (submit adds the link delay).
         accelerator.submit_at(
-            self._now + lat,
-            (selector, client, rid, rgid),
+            self.now + lat,
+            (selector, client, rid, entry.rgid),
             self._select_work,
             self._forward_selected,
         )
@@ -853,7 +657,7 @@ class FlowEngine:
     def _select_work(self, job: tuple) -> tuple:
         """Accelerator work: the RSNode's selector picks the replica."""
         selector, client, rid, rgid = job
-        return (client, rid, selector.choose(rgid), self._now)  # retaining value = now
+        return (client, rid, selector.choose(rgid), self.now)  # retaining value = now
 
     def _forward_selected(self, selected: tuple) -> None:
         """Rebuilt request leaves the ToR toward the selected server."""
@@ -882,7 +686,7 @@ class FlowEngine:
             if factor is not None:
                 lat *= factor
         self._account(1, size, overhead)
-        t = self._now + lat
+        t = self.now + lat
         for d in hops[1:]:
             t += d
         if len(hops) > 1:
@@ -905,7 +709,9 @@ class FlowEngine:
                 lat *= factor
         size, overhead = self._sizes["netrs_response_marked"]
         self._account(1, size, overhead)
-        self.post_at(lat + self._now, self._on_response, (client, rid, server_name, status))
+        self.post_at(
+            lat + self.now, KVClient.handle_response, (client, rid, server_name, status)
+        )
 
     def _absorb_response(self, job: tuple) -> None:
         """Accelerator work: the RSNode's selector folds the cloned status."""

@@ -349,7 +349,6 @@ def _git_commit() -> str:
 
 def run_benchmarks(
     repeats: int = 5,
-    fig4_repeats: int = 1,
     only: Optional[List[str]] = None,
 ) -> Dict[str, object]:
     """Run the suite (or the ``only`` subset) and return the report payload."""
@@ -373,8 +372,7 @@ def run_benchmarks(
     for name, fn in BENCHMARKS.items():
         if only is not None and name not in only:
             continue
-        n_repeats = fig4_repeats if name == "fig4_slice" else repeats
-        benches[name] = _best_of(fn, n_repeats)
+        benches[name] = _best_of(fn, repeats)
     return report
 
 
@@ -447,9 +445,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="write JSON report here")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
-        "--fig4-repeats", type=int, default=1, help="repeats of the fig4 slice"
-    )
-    parser.add_argument(
         "--profile",
         nargs="?",
         const="",
@@ -508,9 +503,7 @@ def main(argv=None) -> int:
         profile = cProfile.Profile()
         profile.enable()
     try:
-        report = run_benchmarks(
-            repeats=args.repeats, fig4_repeats=args.fig4_repeats, only=only
-        )
+        report = run_benchmarks(repeats=args.repeats, only=only)
     finally:
         if profile is not None:
             profile.disable()

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.kvstore.client import CompletionTracker, KVClient, RedundancyPolicy
+from repro.kvstore.client import (
+    _BACKOFF_CAP,
+    CompletionTracker,
+    KVClient,
+    RedundancyPolicy,
+)
 from repro.kvstore.hashing import ConsistentHashRing
 from repro.network.packet import (
     MAGIC_PLAIN,
@@ -248,3 +253,97 @@ class TestCompletionTracker:
         client.issue(key=1)
         _respond(client, host.sent[0])
         assert tracker.completed == 1
+
+
+class StubEnv:
+    """Hand-driven clock with the flow tier's timer contract: ``call_in``
+    records the timer and returns no handle, so nothing is ever cancelled."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.timers = []
+
+    def call_in(self, delay, fn, *args):
+        self.timers.append((self.now + delay, len(self.timers), fn, args))
+
+    def fire_next(self):
+        self.timers.sort()
+        when, _order, fn, args = self.timers.pop(0)
+        self.now = when
+        fn(*args)
+
+
+def test_hostless_client_runs_on_its_send_seam(ring):
+    """No host, no fabric: a client built with ``name`` and ``send`` issues,
+    fires one R95 duplicate to another replica, retries on the capped
+    backoff schedule and completes exactly once."""
+    env = StubEnv()
+    sent = []
+
+    def send(client, request_id, entry, target, redundant):
+        sent.append((env.now, request_id, target, redundant))
+
+    timeout = 0.05
+    tracker = CompletionTracker(1)
+    recorder = LatencyRecorder()
+    client = KVClient(
+        env,
+        None,
+        name="client0",
+        send=send,
+        ring=ring,
+        selector=FirstCandidateSelector(),
+        recorder=recorder,
+        tracker=tracker,
+        redundancy=RedundancyPolicy(),
+        request_timeout=timeout,
+        max_retries=4,
+    )
+    assert client.name == "client0"
+    rid = client.issue(7)
+    _rgid, replicas = ring.group_for_key(7)
+    assert sent == [(0.0, rid, replicas[0], False)]
+
+    # With no latency history the R95 threshold is the 30 ms fallback, so
+    # the duplicate leaves before the first timeout.
+    env.fire_next()
+    assert sent[1][1:] == (rid, replicas[1], True)
+    assert sent[1][0] == pytest.approx(0.03)
+    assert client.redundant_sent == 1
+
+    # Four timeouts: untried replicas first, then the full group again,
+    # each retransmission waiting min(2**k, cap) request timeouts.
+    for _ in range(4):
+        env.fire_next()
+    retries = sent[2:]
+    assert [target for _t, _rid, target, _dup in retries] == [
+        replicas[1], replicas[2], replicas[0], replicas[0]
+    ]
+    assert all(request == rid and not dup for _t, request, _target, dup in retries)
+    times = [0.0] + [t for t, _rid, _target, _dup in retries]
+    gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+    assert gaps == pytest.approx(
+        [timeout * min(2.0**k, _BACKOFF_CAP) for k in range(4)]
+    )
+    assert (client.timeouts, client.retries, client.requests_sent) == (4, 4, 5)
+    # The fifth wait is where the cap bites: 2**4 request timeouts capped.
+    ((next_timeout, _order, _fn, _args),) = env.timers
+    assert next_timeout == pytest.approx(times[-1] + timeout * _BACKOFF_CAP)
+    assert 2.0**4 > _BACKOFF_CAP
+
+    # The first response completes the read; a losing copy only counts late.
+    env.now = 0.8
+    status = ServerStatus(queue_size=1, service_rate=1000.0, timestamp=0.8)
+    client.handle_response(rid, replicas[2], status)
+    client.handle_response(rid, replicas[1], status)
+    assert tracker.completed == 1
+    assert recorder.samples == (pytest.approx(0.8),)
+    assert client.late_responses == 1
+    assert client.duplicates_suppressed == 1
+
+    # The last armed timeout fires as a no-op: nothing sent, nothing lost.
+    env.fire_next()
+    assert not env.timers
+    assert len(sent) == 6
+    assert client.requests_lost == 0
+    assert tracker.completed == 1

@@ -1,8 +1,6 @@
-"""Drifted mirror carrying an explicit suppression on the drift line."""
+"""Drifted copy carrying an explicit suppression on the reported line."""
 
 
-class FlowServer:
-    def complete(self, now):
-        self.busy -= 1
-        self.completions += 2  # repro: noqa(CON001) - deliberate fixture drift
-        self.log.append(now)
+def score(resp, expected, q_hat, exponent):  # repro: noqa(CON001) - deliberate fixture drift
+    value = resp - expected + q_hat**exponent / expected
+    return value

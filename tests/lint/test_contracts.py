@@ -2,9 +2,9 @@
 the acceptance criterion that the shipped tree honors its own contracts.
 
 Each test builds a :class:`ContractRegistry` over the mini-tree in
-``fixtures/contracts/`` so a deliberately drifted mirror copy, a reordered
-RNG draw and an undigested config field each produce exactly one finding
-with the right rule id, file and line (ISSUE 8 acceptance)."""
+``fixtures/contracts/`` so a drifted anchored formula, a reordered RNG draw
+and an undigested config field each produce exactly one finding with the
+right rule id, file and line."""
 
 import pathlib
 
@@ -16,7 +16,6 @@ from repro.lint.contracts import (
     DigestContract,
     DrawSequencePair,
     ExprAnchor,
-    MirrorPair,
     Site,
     StreamFamilyContract,
     check_contracts,
@@ -29,16 +28,7 @@ from repro.lint.rules import explain
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "contracts"
 
-_REF_COMPLETE = Site("reference.py", "Server.complete")
 _REF_ARRIVAL = Site("reference.py", "Server.arrival")
-
-
-def _complete_pair(mirror_path):
-    return MirrorPair(
-        name="fixture.complete",
-        reference=_REF_COMPLETE,
-        mirror=Site(mirror_path, "FlowServer.complete"),
-    )
 
 
 def _arrival_draws(mirror_path):
@@ -53,61 +43,8 @@ def _arrival_draws(mirror_path):
 
 
 # ---------------------------------------------------------------------------
-# CON001: mirror-pair equivalence
+# CON001: expression anchors
 # ---------------------------------------------------------------------------
-
-
-def test_clean_mirror_with_declared_rewrites_passes():
-    registry = ContractRegistry(
-        mirror_pairs=[
-            _complete_pair("mirror_clean.py"),
-            MirrorPair(
-                name="fixture.tick",
-                reference=Site("reference.py", "Server.tick"),
-                mirror=Site("mirror_clean.py", "FlowServer.tick"),
-                renames=(("self.env", "engine"),),
-            ),
-            MirrorPair(
-                name="fixture.respond",
-                reference=Site("reference.py", "Server.respond"),
-                mirror=Site("mirror_clean.py", "FlowServer.respond"),
-                drop_reference=("packet = self.make_packet(entry)",),
-                equivalences=(
-                    ("self.host.send(packet)", "self.finish(entry)"),
-                ),
-            ),
-        ]
-    )
-    assert check_contracts(str(FIXTURES), registry=registry) == []
-
-
-def test_drifted_mirror_yields_exactly_one_con001():
-    registry = ContractRegistry(mirror_pairs=[_complete_pair("mirror_drifted.py")])
-    findings = check_contracts(str(FIXTURES), registry=registry)
-    assert len(findings) == 1
-    (finding,) = findings
-    assert finding.rule == "CON001"
-    assert finding.path == "mirror_drifted.py"
-    assert finding.line == 7  # the `self.completions += 2` statement
-    assert "self.completions += 1" in finding.message
-    assert "self.completions += 2" in finding.message
-    assert "reference.py:Server.complete" in finding.message
-
-
-def test_missing_mirror_site_is_reported():
-    registry = ContractRegistry(
-        mirror_pairs=[
-            MirrorPair(
-                name="fixture.ghost",
-                reference=_REF_COMPLETE,
-                mirror=Site("mirror_clean.py", "FlowServer.ghost"),
-            )
-        ]
-    )
-    findings = check_contracts(str(FIXTURES), registry=registry)
-    assert [f.rule for f in findings] == ["CON001"]
-    assert findings[0].path == "mirror_clean.py"
-    assert "FlowServer.ghost" in findings[0].message
 
 
 def _score_anchor(mirror_path):
@@ -291,24 +228,23 @@ def test_shipped_tree_honors_its_contracts():
 
 def test_default_registry_aggregates_all_declaration_modules():
     registry = default_registry()
-    assert registry.mirror_pairs and registry.expr_anchors
+    assert registry.expr_anchors
     assert registry.stream_families and registry.draw_sequences
     assert registry.digests
     assert registry.total() == (
-        len(registry.mirror_pairs)
-        + len(registry.expr_anchors)
+        len(registry.expr_anchors)
         + len(registry.stream_families)
         + len(registry.draw_sequences)
         + len(registry.digests)
     )
-    names = {pair.name for pair in registry.mirror_pairs}
-    assert "client.fire_redundant" in names  # repro.mesoscale.contracts
+    names = {pair.name for pair in registry.draw_sequences}
+    assert "vector arrival-stream draw order" in names  # repro.mesoscale.contracts
     anchors = {anchor.name for anchor in registry.expr_anchors}
     assert "c3-cubic-score" in anchors  # repro.sim.contracts
 
 
 def test_contract_findings_respect_noqa(monkeypatch):
-    registry = ContractRegistry(mirror_pairs=[_complete_pair("mirror_noqa.py")])
+    registry = ContractRegistry(expr_anchors=[_score_anchor("mirror_noqa.py")])
     monkeypatch.setattr(con, "default_registry", lambda: registry)
     monkeypatch.setattr(
         "repro.lint.engine.default_registry", lambda: registry

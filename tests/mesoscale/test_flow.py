@@ -32,6 +32,10 @@ FAULT_SCHEDULE = (
     "link-degrade@0.01:client#2/tor(client#2)*3.0"
 )
 
+#: Same-server-only schedule: keeps the vector engine on its dense fast
+#: path (link faults force the guarded scalar-send fallback).
+SERVER_FAULTS = "server-down@0.02:server#0;server-up@0.06:server#0"
+
 
 def _tiny(scheme, **overrides):
     return ExperimentConfig.tiny(scheme=scheme, seed=5).replace(**overrides)
@@ -71,10 +75,18 @@ def test_flow_matches_packet_bit_exactly(scheme, vector_batch):
 
 
 @pytest.mark.parametrize("vector_batch", [0, 7])
-def test_flow_matches_packet_under_faults(vector_batch):
+@pytest.mark.parametrize("scheme", FLOW_SCHEMES)
+@pytest.mark.parametrize(
+    "fault_schedule",
+    [
+        pytest.param(FAULT_SCHEDULE, id="links-and-server"),
+        pytest.param(SERVER_FAULTS, id="server-only"),
+    ],
+)
+def test_flow_matches_packet_under_faults(fault_schedule, scheme, vector_batch):
     config = _tiny(
-        "clirs",
-        fault_schedule=FAULT_SCHEDULE,
+        scheme,
+        fault_schedule=fault_schedule,
         request_timeout=20e-3,
         max_retries=4,
     )

@@ -12,14 +12,10 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mesoscale.runner import run_flow_experiment
 
-from tests.mesoscale.test_flow import FAULT_SCHEDULE, IDENTITY_FIELDS
+from tests.mesoscale.test_flow import FAULT_SCHEDULE, IDENTITY_FIELDS, SERVER_FAULTS
 
 #: Flow-tier-only counter, checked on top of the shared identity fields.
 _FIELDS = IDENTITY_FIELDS + ("micro_events",)
-
-#: Same-server-only schedule: keeps the vector engine on its dense fast
-#: path (link faults force the guarded scalar-send fallback).
-SERVER_FAULTS = "server-down@0.02:server#0;server-up@0.06:server#0"
 
 
 def _flow(scheme, **overrides):
